@@ -70,7 +70,12 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jitter-scale", type=float, default=0.0, help="similarity noise scale for tie breaking")
     p.add_argument("--buffer-m", type=float, default=15.0, help="half-width for degenerate cluster buffering")
     p.add_argument("--mem-warn-gb", type=float, default=2.0, help="warn above this estimated footprint")
-    p.add_argument("--mem-cap-gb", type=float, default=8.0, help="refuse above this estimated footprint")
+    p.add_argument(
+        "--mem-cap-gb",
+        type=float,
+        default=8.0,
+        help="refuse above this estimated footprint; a sweep runs no more cells at once than it holds",
+    )
     p.add_argument(
         "--strict-convergence",
         action="store_true",
@@ -147,7 +152,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if k > n_total:
         raise InputError(f"sample size {k} exceeds the {n_total}-point dataset")
 
-    est_gb = estimate_apc_memory_gb(k)
+    est_gb = estimate_apc_memory_gb(k, jitter=args.jitter_scale > 0)
     if est_gb > args.mem_cap_gb:
         raise ResourceLimitError(
             f"estimated {est_gb:.1f} GB exceeds the {args.mem_cap_gb:.1f} GB cap"

@@ -16,8 +16,11 @@ values make points more eager to become exemplars and produce more, smaller
 clusters. Preferences are set from a quantile of the off-diagonal
 similarities.
 
-Updates are row/column vectorized; a run mutates only its own state, so
-concurrent runs on separate inputs need no coordination.
+One kernel does the message passing in place: it holds S, R and A, a
+column-support vector and one scratch block of rows, and sweeps the rows
+block by block, so an iteration allocates no n x n temporary. A run mutates
+only its own state, so concurrent runs on separate inputs need no
+coordination.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ import numpy as np
 
 from .errors import InputError
 
-# Row block size for pairwise distance construction; bounds peak memory at
-# roughly block * n * 16 bytes regardless of n.
-_DISTANCE_BLOCK_ROWS = 256
+# Scratch budget per row block: the message-passing kernel's block holds as
+# many rows as fit in this many bytes of float64 (at least one), and the
+# distance construction's (rows, n, 2) differences fit in the same budget.
+_SCRATCH_BYTES = 2**20
 
 
 def _as_xy(points) -> np.ndarray:
@@ -65,9 +69,10 @@ class SimilarityMatrix:
         return self.s.shape[0]
 
     def off_diagonal(self) -> np.ndarray:
-        """All entries s(i, k) with i != k, as a flat array."""
-        mask = ~np.eye(self.n, dtype=bool)
-        return self.s[mask]
+        """All entries s(i, k) with i != k, as a new flat array in row-major order."""
+        n = self.n
+        # Dropping s[0, 0] leaves each diagonal entry at the end of a row of n + 1.
+        return self.s.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].flatten()
 
     def preferences(self) -> np.ndarray:
         if not self.preference_applied:
@@ -109,19 +114,6 @@ class ApcConfig:
             raise InputError("jitter_scale must be non-negative")
 
 
-@dataclass
-class MessageState:
-    """Responsibility and availability matrices for one run."""
-
-    r: np.ndarray
-    a: np.ndarray
-    iteration: int = 0
-
-    @classmethod
-    def zeros(cls, n: int) -> "MessageState":
-        return cls(r=np.zeros((n, n)), a=np.zeros((n, n)), iteration=0)
-
-
 @dataclass(frozen=True)
 class ClusterResult:
     """Exemplar indices and per-point assignments with convergence metadata."""
@@ -158,8 +150,9 @@ def build_similarity(points) -> SimilarityMatrix:
         raise InputError(f"non-finite coordinate at index {int(np.flatnonzero(bad)[0])}")
 
     s = np.empty((n, n), dtype=np.float64)
-    for start in range(0, n, _DISTANCE_BLOCK_ROWS):
-        stop = min(start + _DISTANCE_BLOCK_ROWS, n)
+    block = max(1, _SCRATCH_BYTES // (16 * n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
         diff = xy[start:stop, None, :] - xy[None, :, :]
         np.einsum("ijk,ijk->ij", diff, diff, out=s[start:stop])
     np.negative(s, out=s)
@@ -181,7 +174,7 @@ def apply_preference(m: SimilarityMatrix, q: float) -> SimilarityMatrix:
     if m.n == 1:
         p = 0.0
     else:
-        p = float(np.quantile(m.off_diagonal(), q))
+        p = float(np.quantile(m.off_diagonal(), q, overwrite_input=True))
     np.fill_diagonal(m.s, p)
     m.preference_applied = True
     return m
@@ -202,73 +195,105 @@ def set_preference(m: SimilarityMatrix, preference) -> SimilarityMatrix:
     return m
 
 
-def update_responsibilities(m: SimilarityMatrix, state: MessageState, damping: float) -> MessageState:
+def _block_rows(n: int) -> int:
+    """Rows per block of the message-passing kernel for an n-point run."""
+    return max(1, _SCRATCH_BYTES // (8 * n))
+
+
+def message_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's buffers besides S, R and A: the column-support vector and a (block + 1) x n scratch."""
+    return np.zeros(n), np.empty((_block_rows(n) + 1, n))
+
+
+def update_responsibilities(
+    s: np.ndarray, r: np.ndarray, a: np.ndarray, damping: float, support: np.ndarray, tmp: np.ndarray
+) -> None:
     """One responsibility sweep: r(i, k) = s(i, k) - max_{k' != k} {a(i, k') + s(i, k')}.
 
     The stored value is the damped blend damping * r_old + (1 - damping) * r_raw.
-    For n = 1 there are no rival candidates and r_raw = s(1, 1). In place.
+    For n = 1 there are no rival candidates and r_raw = s(1, 1). Rows are
+    updated in place, one block of tmp.shape[0] - 1 rows at a time.
+
+    The sweep also leaves in support the column sums of max{0, r(i, k)} with
+    r(k, k) kept as is on the diagonal, which update_availabilities needs.
+    Row 0 of tmp carries the running sum into each block's reduction, so the
+    sum adds rows in the same order, and to the same bits, as one reduction
+    over the whole matrix.
     """
-    s = m.s
-    r = state.r
-    n = m.n
-    if r.shape != s.shape or state.a.shape != s.shape:
-        raise ValueError("message state shape does not match similarity matrix")
-    if n == 1:
-        raw = s.copy()
-    else:
-        cand = state.a + s
-        rows = np.arange(n)
-        top = cand.argmax(axis=1)
-        first = cand[rows, top].copy()
-        cand[rows, top] = -np.inf
-        second = cand.max(axis=1)
-        raw = s - first[:, None]
-        raw[rows, top] = s[rows, top] - second
-    r *= damping
-    raw *= 1.0 - damping
-    r += raw
-    return state
+    n = s.shape[0]
+    block = tmp.shape[0] - 1
+    support.fill(0.0)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = np.arange(stop - start)
+        diag = rows + start
+        s_blk = s[start:stop]
+        r_blk = r[start:stop]
+        raw = tmp[1 : stop - start + 1]
+        if n == 1:
+            raw[:] = s_blk
+        else:
+            np.add(a[start:stop], s_blk, out=raw)
+            top = raw.argmax(axis=1)
+            first = raw[rows, top]
+            raw[rows, top] = -np.inf
+            second = raw.max(axis=1)
+            np.subtract(s_blk, first[:, None], out=raw)
+            raw[rows, top] = s_blk[rows, top] - second
+        r_blk *= damping
+        raw *= 1.0 - damping
+        r_blk += raw
+        np.maximum(r_blk, 0.0, out=raw)
+        raw[rows, diag] = r_blk[rows, diag]
+        tmp[0] = support
+        np.add.reduce(tmp[: stop - start + 1], axis=0, out=support)
 
 
-def update_availabilities(state: MessageState, damping: float) -> MessageState:
-    """One availability sweep.
+def update_availabilities(
+    r: np.ndarray, a: np.ndarray, damping: float, support: np.ndarray, tmp: np.ndarray
+) -> None:
+    """One availability sweep, from the column support left by update_responsibilities.
 
     Off-diagonal: a(i, k) = min{0, r(k, k) + sum over i' not in {i, k} of
     max{0, r(i', k)}}, so availabilities never exceed zero. Diagonal:
     a(k, k) = sum over i' != k of max{0, r(i', k)}, a sum of non-negative
-    support terms. Damped blend as in update_responsibilities. In place.
+    support terms. Both are support[k] minus row i's own term. Damped blend
+    as in update_responsibilities, in place, one row block at a time.
     """
-    r = state.r
-    a = state.a
-    raw = np.maximum(r, 0.0)
-    np.fill_diagonal(raw, r.diagonal())
-    col_support = raw.sum(axis=0)
-    # col_support - raw removes each recipient's own contribution from the column sum
-    np.subtract(col_support[None, :], raw, out=raw)
-    self_avail = raw.diagonal().copy()
-    np.minimum(raw, 0.0, out=raw)
-    np.fill_diagonal(raw, self_avail)
-    a *= damping
-    raw *= 1.0 - damping
-    a += raw
-    return state
+    n = r.shape[0]
+    block = tmp.shape[0] - 1
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = np.arange(stop - start)
+        diag = rows + start
+        r_blk = r[start:stop]
+        a_blk = a[start:stop]
+        raw = tmp[: stop - start]
+        np.maximum(r_blk, 0.0, out=raw)
+        raw[rows, diag] = r_blk[rows, diag]
+        np.subtract(support, raw, out=raw)
+        self_avail = raw[rows, diag]
+        np.minimum(raw, 0.0, out=raw)
+        raw[rows, diag] = self_avail
+        a_blk *= damping
+        raw *= 1.0 - damping
+        a_blk += raw
 
 
-def decide_exemplars(m: SimilarityMatrix, state: MessageState) -> tuple[np.ndarray, np.ndarray]:
-    """Extract exemplar indices and per-point assignments from the message state.
+def decide_exemplars(m: SimilarityMatrix, criterion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extract exemplar indices and per-point assignments from the decision criterion.
 
-    Point k is an exemplar when a(k, k) + r(k, k) > 0. If no point
-    qualifies, the single best-scoring point is used as a fallback so a
-    result always exists. Points are first partitioned by similarity to
-    the chosen exemplars; then one refinement pass replaces each cluster's
-    exemplar with the member of greatest summed similarity to the cluster
-    and re-partitions. Ties break toward the lowest index, and exemplars
-    are always assigned to themselves.
+    criterion[k] is a(k, k) + r(k, k), and point k is an exemplar when it is
+    positive. If no point qualifies, the single best-scoring point is used
+    as a fallback so a result always exists. Points are first partitioned
+    by similarity to the chosen exemplars; then one refinement pass replaces
+    each cluster's exemplar with the member of greatest summed similarity to
+    the cluster and re-partitions. Ties break toward the lowest index, and
+    exemplars are always assigned to themselves.
     """
-    crit = state.a.diagonal() + state.r.diagonal()
-    exemplars = np.flatnonzero(crit > 0)
+    exemplars = np.flatnonzero(criterion > 0)
     if exemplars.size == 0:
-        exemplars = np.array([int(np.argmax(crit))], dtype=np.intp)
+        exemplars = np.array([int(np.argmax(criterion))], dtype=np.intp)
     labels = np.argmax(m.s[:, exemplars], axis=1)
     labels[exemplars] = np.arange(exemplars.size)
     for k in range(exemplars.size):
@@ -311,30 +336,44 @@ def run_apc_on_matrix(
     """
     if not m.preference_applied:
         raise ValueError("apply a preference before running")
-    n = m.n
-    work = m
-    if config.jitter_scale > 0:
-        rng = np.random.default_rng(config.rng_seed)
-        noise = rng.normal(0.0, config.jitter_scale, size=(n, n))
-        np.fill_diagonal(noise, 0.0)
-        work = SimilarityMatrix(s=m.s + noise, preference_applied=True)
+    criterion, converged, iterations = _pass_messages(m.s, config, check_invariants)
+    exemplars, assignment = decide_exemplars(m, criterion)
+    return ClusterResult(
+        exemplars=[int(e) for e in exemplars],
+        assignment=assignment.astype(np.int64),
+        converged=converged,
+        iterations_run=iterations,
+        net_similarity=net_similarity(m, exemplars, assignment),
+    )
 
-    state = MessageState.zeros(n)
+
+def _pass_messages(s: np.ndarray, config: ApcConfig, check_invariants: bool) -> tuple[np.ndarray, bool, int]:
+    """The iteration loop: returns a(k, k) + r(k, k), whether it converged, and the iteration count.
+
+    The kernel holds S, R and A (plus the jittered copy of S), the column
+    support and one scratch block; all are released on return, before
+    exemplar refinement runs.
+    """
+    n = s.shape[0]
+    support, tmp = message_workspace(n)
+    if config.jitter_scale > 0:
+        s = _jittered(s, config.jitter_scale, config.rng_seed, tmp)
+    r = np.zeros((n, n))
+    a = np.zeros((n, n))
+    off = ~np.eye(n, dtype=bool) if check_invariants else None
     previous = None
     stable = 0
     converged = False
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
-        update_responsibilities(work, state, config.damping)
-        update_availabilities(state, config.damping)
-        state.iteration = iteration
+        update_responsibilities(s, r, a, config.damping, support, tmp)
+        update_availabilities(r, a, config.damping, support, tmp)
         iterations = iteration
         if check_invariants:
-            off = ~np.eye(n, dtype=bool)
-            assert np.all(state.a[off] <= 0.0), "off-diagonal availability above zero"
-            assert np.all(state.a.diagonal() >= 0.0), "negative self-availability"
-            assert np.isfinite(state.r).all() and np.isfinite(state.a).all()
-        decisions = (state.a.diagonal() + state.r.diagonal()) > 0
+            assert np.all(a[off] <= 0.0), "off-diagonal availability above zero"
+            assert np.all(a.diagonal() >= 0.0), "negative self-availability"
+            assert np.isfinite(r).all() and np.isfinite(a).all()
+        decisions = (a.diagonal() + r.diagonal()) > 0
         if previous is not None and np.array_equal(decisions, previous):
             stable += 1
         else:
@@ -345,15 +384,30 @@ def run_apc_on_matrix(
         if stable >= config.convergence_window and decisions.any():
             converged = True
             break
+    return a.diagonal() + r.diagonal(), converged, iterations
 
-    exemplars, assignment = decide_exemplars(m, state)
-    return ClusterResult(
-        exemplars=[int(e) for e in exemplars],
-        assignment=assignment.astype(np.int64),
-        converged=converged,
-        iterations_run=iterations,
-        net_similarity=net_similarity(m, exemplars, assignment),
-    )
+
+def _jittered(s: np.ndarray, scale: float, seed: int, tmp: np.ndarray) -> np.ndarray:
+    """A copy of s with seeded normal noise added off the diagonal.
+
+    The noise is drawn into tmp one row block at a time, in row order, from
+    one Generator: value for value the stream of a single n x n
+    ``normal(0, scale)`` draw, which computes 0 + scale * z.
+    """
+    n = s.shape[0]
+    rng = np.random.default_rng(seed)
+    work = s.copy()
+    block = tmp.shape[0] - 1
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = np.arange(stop - start)
+        noise = tmp[: stop - start]
+        rng.standard_normal(out=noise)
+        noise *= scale
+        noise += 0.0
+        noise[rows, rows + start] = 0.0
+        work[start:stop] += noise
+    return work
 
 
 def run_apc(points, config: ApcConfig, check_invariants: bool = False) -> ClusterResult:

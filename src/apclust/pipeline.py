@@ -10,10 +10,12 @@ deterministic byte-for-byte given the same manifest and inputs.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
 import os
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ApcConfig, run_apc
+from .core import ApcConfig, _block_rows, run_apc
 from .errors import ApclustError, ConvergenceError, FormatError, InputError, ResourceLimitError
 from .geo import GeoPoint, centroid, planar_to_array, project, unproject
 from .units import ScaleThresholds, SweepCell, UnitOfAnalysis, build_units, derive_meso_threshold
@@ -29,8 +31,12 @@ from .units import ScaleThresholds, SweepCell, UnitOfAnalysis, build_units, deri
 log = logging.getLogger("apclust")
 
 THREADS_ENV_VAR = "APCLUST_THREADS"
-# Dense message passing holds S, R, A plus about two working matrices.
-_MATRICES_PER_RUN = 5
+# Length-n float vectors a run holds next to its matrices (column support,
+# decision criterion, decision flags), with room to spare, and a fixed
+# allowance for interpreter and allocator overhead. Measured on Linux with
+# glibc: at most 200 KiB above the matrices and scratch for n up to 4000.
+_RUN_VECTORS = 8
+_RUN_OVERHEAD_BYTES = 2**19
 
 
 @dataclass
@@ -154,9 +160,18 @@ def _sample_indices(n: int, k: int, seed) -> np.ndarray:
     return idx
 
 
-def estimate_apc_memory_gb(n: int) -> float:
-    """Rough peak estimate for one run: S, R, A and working copies at 64-bit."""
-    return _MATRICES_PER_RUN * 8.0 * n * n / 1e9
+def estimate_apc_memory_gb(n: int, jitter: bool = False) -> float:
+    """Peak resident estimate for one run, in GB: the message-passing kernel's buffers at 64-bit.
+
+    Those are S, R and A, plus the noisy copy of S when jitter is on, the
+    (block + 1) x n scratch and a few length-n vectors, plus a fixed
+    allowance for interpreter and allocator overhead. Every other stage
+    holds less: the preference quantile holds S and one copy of its
+    off-diagonal.
+    """
+    matrices = 4 if jitter else 3
+    floats = matrices * n * n + (_block_rows(n) + 1) * n + _RUN_VECTORS * n
+    return (8.0 * floats + _RUN_OVERHEAD_BYTES) / 1e9
 
 
 def _cell_seed(rng_seed: int, sample_size: int, q: float) -> int:
@@ -182,7 +197,8 @@ def run_sweep(manifest: RunManifest) -> SweepReport:
     """Run every (q, sample size) cell, write per-cell GeoJSON and the summary table.
 
     Cells are independent jobs sharing read-only inputs and disjoint output
-    files; they run concurrently up to the APCLUST_THREADS cap. A failed
+    files; they run concurrently up to the APCLUST_THREADS cap, and no more
+    at once than the memory cap holds at the largest run's estimate. A failed
     clustering run aborts the sweep naming the offending cell; failed
     GeoJSON exports only warn, and the summary is still written.
     """
@@ -196,7 +212,7 @@ def run_sweep(manifest: RunManifest) -> SweepReport:
         if k > n_total:
             raise InputError(f"sample size {k} exceeds the {n_total}-point dataset")
 
-    est_gb = estimate_apc_memory_gb(max(manifest.sample_sizes))
+    est_gb = estimate_apc_memory_gb(max(manifest.sample_sizes), jitter=manifest.jitter_scale > 0)
     if est_gb > manifest.mem_cap_gb:
         raise ResourceLimitError(
             f"estimated {est_gb:.1f} GB for the largest run exceeds the {manifest.mem_cap_gb:.1f} GB cap"
@@ -253,7 +269,9 @@ def run_sweep(manifest: RunManifest) -> SweepReport:
 
     grid = [(q, k) for q in manifest.q_levels for k in manifest.sample_sizes]
     outcomes: dict[tuple[float, int], tuple[list[UnitOfAnalysis], SweepCell, bool]] = {}
-    with ThreadPoolExecutor(max_workers=_max_workers(len(grid))) as pool:
+    # The cap bounds all concurrent runs together, not each one.
+    workers = min(_max_workers(len(grid)), max(1, int(manifest.mem_cap_gb // est_gb)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {(q, k): pool.submit(run_cell, q, k) for q, k in grid}
         for (q, k), fut in futures.items():
             try:
@@ -314,11 +332,7 @@ def export_geojson(units: list[UnitOfAnalysis], origin: GeoPoint, path) -> None:
             }
         )
     payload = {"type": "FeatureCollection", "features": features}
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+    _write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 def export_summary(report: SweepReport, path) -> None:
@@ -327,21 +341,36 @@ def export_summary(report: SweepReport, path) -> None:
     Areas use 3 decimals and medians 1, so re-running an identical manifest
     reproduces the file byte for byte.
     """
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["q", "sample_size", "n_clusters", "median_area_km2", "median_intersections", "level"])
+    for cell in report.cells:
+        writer.writerow(
+            [
+                f"{cell.q:g}",
+                cell.sample_size,
+                cell.n_clusters,
+                f"{cell.median_area_km2:.3f}",
+                f"{cell.median_intersections:.1f}",
+                cell.level,
+            ]
+        )
+    _write_atomic(path, text.getvalue())
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write text to a new temp file beside path, then move it over path.
+
+    A failure part-way removes the temp file, so path keeps its old content
+    (or stays absent) and no half-written file is left behind.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(
-            ["q", "sample_size", "n_clusters", "median_area_km2", "median_intersections", "level"]
-        )
-        for cell in report.cells:
-            writer.writerow(
-                [
-                    f"{cell.q:g}",
-                    cell.sample_size,
-                    cell.n_clusters,
-                    f"{cell.median_area_km2:.3f}",
-                    f"{cell.median_intersections:.1f}",
-                    cell.level,
-                ]
-            )
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", newline="") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

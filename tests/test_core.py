@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apclust import core
 from apclust.core import (
     ApcConfig,
-    MessageState,
     SimilarityMatrix,
     apply_preference,
     build_similarity,
     decide_exemplars,
+    message_workspace,
     net_similarity,
     run_apc,
     run_apc_on_matrix,
@@ -22,6 +25,7 @@ from apclust.core import (
     update_responsibilities,
 )
 from apclust.errors import InputError
+from apclust.testkit import reference_availabilities, reference_jittered, reference_responsibilities
 
 # Collinear points at 0, 1, 3 m give pairwise squared distances 1, 9, 4.
 LINE_XY = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
@@ -92,11 +96,23 @@ class TestApplyPreference:
         set_preference(m, -2.5)
         assert m.preferences().tolist() == [-2.5, -2.5, -2.5]
 
+    def test_off_diagonal_of_two_points_is_a_copy(self):
+        # A 1 x 2 view counts as contiguous; the quantile must still not sort s in place.
+        s = np.array([[np.nan, -8.0], [-2.0, np.nan]])
+        m = SimilarityMatrix(s=s, preference_applied=False)
+        apply_preference(m, 0.0)
+        assert m.s[0, 1] == -8.0 and m.s[1, 0] == -2.0
+
     def test_quantile_out_of_range(self):
         with pytest.raises(InputError):
             ApcConfig(q=1.5)
         with pytest.raises(InputError):
             ApcConfig(q=-0.1)
+
+
+def zero_messages(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Zero R and A plus a fresh kernel workspace (support, scratch)."""
+    return (np.zeros((n, n)), np.zeros((n, n))) + message_workspace(n)
 
 
 class TestMessageUpdates:
@@ -106,37 +122,38 @@ class TestMessageUpdates:
         # fixture at q=1 (preference -1).
         m = line_matrix()
         apply_preference(m, 1.0)
-        state = MessageState.zeros(3)
-        update_responsibilities(m, state, damping=0.0)
+        r, a, support, tmp = zero_messages(3)
+        update_responsibilities(m.s, r, a, 0.0, support, tmp)
         expected = np.array([[0.0, 0.0, -8.0], [0.0, 0.0, -3.0], [-8.0, -3.0, 3.0]])
-        np.testing.assert_array_equal(state.r, expected)
+        np.testing.assert_array_equal(r, expected)
+        # Column support: r(k,k) plus the positive off-diagonal entries of column k.
+        np.testing.assert_array_equal(support, [0.0, 0.0, 3.0])
 
     def test_availability_sweep_after_responsibilities(self):
         # Continuing the fixture above: no positive off-diagonal
         # responsibilities exist, so every availability is zero.
         m = line_matrix()
         apply_preference(m, 1.0)
-        state = MessageState.zeros(3)
-        update_responsibilities(m, state, damping=0.0)
-        update_availabilities(state, damping=0.0)
-        np.testing.assert_array_equal(state.a, np.zeros((3, 3)))
+        r, a, support, tmp = zero_messages(3)
+        update_responsibilities(m.s, r, a, 0.0, support, tmp)
+        update_availabilities(r, a, 0.0, support, tmp)
+        np.testing.assert_array_equal(a, np.zeros((3, 3)))
 
     def test_availability_two_point_case(self):
-        # a(1,0) = min(0, r(0,0)) and a(0,0) = max(0, r(1,0)).
-        state = MessageState.zeros(2)
-        state.r = np.array([[-3.0, 1.0], [5.0, -4.0]])
-        update_availabilities(state, damping=0.0)
-        assert state.a[1, 0] == -3.0
-        assert state.a[0, 0] == 5.0
+        # a(1,0) = min(0, r(0,0)) and a(0,0) = max(0, r(1,0)). The column
+        # support is r(0,0) + max(0, r(1,0)) = 2 and max(0, r(0,1)) + r(1,1) = -3.
+        r, a, _, tmp = zero_messages(2)
+        r[:] = [[-3.0, 1.0], [5.0, -4.0]]
+        update_availabilities(r, a, 0.0, np.array([2.0, -3.0]), tmp)
+        assert a[1, 0] == -3.0
+        assert a[0, 0] == 5.0
 
     def test_damping_blends_old_and_new(self):
         # One point: raw responsibility equals its preference. Old message 0
         # blended at damping 0.9 with raw -10 gives -1.
-        s = np.array([[-10.0]])
-        m = SimilarityMatrix(s=s, preference_applied=True)
-        state = MessageState.zeros(1)
-        update_responsibilities(m, state, damping=0.9)
-        assert state.r[0, 0] == pytest.approx(-1.0)
+        r, a, support, tmp = zero_messages(1)
+        update_responsibilities(np.array([[-10.0]]), r, a, 0.9, support, tmp)
+        assert r[0, 0] == pytest.approx(-1.0)
 
     def test_off_diagonal_availability_never_positive(self):
         rng = np.random.default_rng(3)
@@ -168,13 +185,11 @@ class TestDecisionsAndObjective:
         assert value == -4.0 + -1.0 + -9.0
 
     def test_refinement_recenters_cluster(self):
-        # Force exemplar 0 through the message state, then let refinement
+        # Force exemplar 0 through the decision criterion, then let refinement
         # move it to point 1, whose summed similarity over {0,1,2} is best.
         m = line_matrix()
         apply_preference(m, 0.5)
-        state = MessageState.zeros(3)
-        state.r = np.diag([1.0, -1.0, -1.0])
-        exemplars, assignment = decide_exemplars(m, state)
+        exemplars, assignment = decide_exemplars(m, np.array([1.0, -1.0, -1.0]))
         assert exemplars.tolist() == [1]
         assert assignment.tolist() == [1, 1, 1]
 
@@ -257,3 +272,101 @@ class TestProperties:
         low = run_apc(xy, ApcConfig(q=0.0, max_iterations=300, convergence_window=30))
         high = run_apc(xy, ApcConfig(q=1.0, max_iterations=300, convergence_window=30))
         assert low.n_clusters <= high.n_clusters or len(np.unique(xy, axis=0)) < len(xy)
+
+
+@st.composite
+def grid_points(draw, max_n=30):
+    """Points on a coarse integer grid, so duplicates and tied similarities are common."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    coords = st.tuples(st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
+    return np.array(draw(st.lists(coords, min_size=n, max_size=n)), dtype=np.float64)
+
+
+def assert_bitwise_equal(x: np.ndarray, y: np.ndarray) -> None:
+    """Same values and the same sign on every zero."""
+    assert np.array_equal(x, y)
+    assert np.array_equal(np.signbit(x), np.signbit(y))
+
+
+def assert_kernel_matches_reference(xy, q, damping, jitter, block, iterations, seed=3):
+    """After every iteration the blocked kernel's R and A equal the full-matrix reference exactly."""
+    n = len(xy)
+    m = build_similarity(xy)
+    apply_preference(m, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_SCRATCH_BYTES", 8 * n * block)
+        r, a, support, tmp = zero_messages(n)
+        s = core._jittered(m.s, jitter, seed, tmp) if jitter else m.s
+    assert tmp.shape == (block + 1, n)
+    s_ref = reference_jittered(m.s, jitter, seed) if jitter else m.s
+    assert_bitwise_equal(s, s_ref)
+    r_ref, a_ref = np.zeros((n, n)), np.zeros((n, n))
+    for _ in range(iterations):
+        reference_responsibilities(s_ref, r_ref, a_ref, damping)
+        reference_availabilities(r_ref, a_ref, damping)
+        update_responsibilities(s, r, a, damping, support, tmp)
+        update_availabilities(r, a, damping, support, tmp)
+        assert_bitwise_equal(r, r_ref)
+        assert_bitwise_equal(a, a_ref)
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        grid_points(),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([0.5, 0.7, 0.9]),
+        st.sampled_from([0.0, 1e-6, 1.0]),
+        st.integers(min_value=1, max_value=32),
+    )
+    def test_fuzzed(self, xy, q, damping, jitter, block):
+        assert_kernel_matches_reference(xy, q, damping, jitter, block, iterations=12)
+
+    @pytest.mark.parametrize(
+        "n, block, jitter",
+        [
+            (1, 1, 0.0),  # a single point: no rival candidates
+            (1, 1, 1.0),
+            (10, 1, 0.0),  # one row per block
+            (10, 3, 0.0),  # blocks of 3, 3, 3 and a ragged 1
+            (10, 3, 1e-6),
+            (10, 4, 1.0),  # blocks of 4, 4 and a ragged 2
+            (7, 9, 0.0),  # one block larger than the matrix
+        ],
+    )
+    def test_block_layouts(self, n, block, jitter):
+        xy = np.random.default_rng(n).uniform(0, 50, size=(n, 2))
+        assert_kernel_matches_reference(xy, 0.5, 0.9, jitter, block, iterations=25)
+
+    def test_duplicate_points(self):
+        xy = np.repeat(np.array([[0.0, 0.0], [1.0, 2.0], [5.0, 5.0]]), 4, axis=0)
+        assert_kernel_matches_reference(xy, 0.9, 0.5, 0.0, 5, iterations=25)
+
+    def test_iteration_allocates_no_matrix(self):
+        n = 400
+        m = build_similarity(np.random.default_rng(0).uniform(0, 100, size=(n, 2)))
+        apply_preference(m, 0.5)
+        r, a, support, tmp = zero_messages(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                update_responsibilities(m.s, r, a, 0.9, support, tmp)
+                update_availabilities(r, a, 0.9, support, tmp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < n * n * 8 // 10
+
+
+class TestPreferenceMatchesFullQuantile:
+    @settings(max_examples=100, deadline=None)
+    @given(grid_points(max_n=20), st.floats(min_value=0.0, max_value=1.0))
+    def test_same_bits_as_masked_quantile(self, xy, q):
+        m = build_similarity(xy)
+        off = ~np.eye(m.n, dtype=bool)
+        before = m.s[off]
+        expected = np.quantile(before, q) if m.n > 1 else 0.0
+        apply_preference(m, q)
+        assert_bitwise_equal(m.preferences(), np.full(m.n, expected))
+        assert_bitwise_equal(m.s[off], before)

@@ -2,24 +2,36 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import apclust
+from apclust import pipeline
 from apclust.cli import main
+from apclust.core import ApcConfig, run_apc
 from apclust.errors import ConvergenceError, FormatError, InputError, ResourceLimitError
 from apclust.geo import GeoPoint
 from apclust.pipeline import (
     RunManifest,
+    SweepReport,
     estimate_apc_memory_gb,
+    export_geojson,
+    export_summary,
     ingest_crashes,
     run_sweep,
     sample_points,
 )
-from apclust.testkit import SyntheticSpec, generate_blobs, write_points_csv
-from apclust.units import ScaleThresholds
+from apclust.testkit import BLOB_FRAME_ORIGIN, SyntheticSpec, generate_blobs, write_points_csv
+from apclust.units import ScaleThresholds, build_units
 
 
 @pytest.fixture
@@ -110,7 +122,60 @@ class TestSampling:
             sample_points(list(range(5)), 6, 0)
 
     def test_memory_estimate(self):
-        assert estimate_apc_memory_gb(5000) == pytest.approx(1.0)
+        # S, R and A at 8 bytes, plus the jittered copy of S when jitter is on.
+        assert estimate_apc_memory_gb(5000) == pytest.approx(0.6, rel=0.01)
+        assert estimate_apc_memory_gb(5000, jitter=True) == pytest.approx(0.8, rel=0.01)
+
+
+# Runs one clustering cell of n points in a fresh process and reports how far
+# the resident high-water mark rose above the resident size before the run.
+# VmHWM is per process; ru_maxrss would carry over the parent's peak across exec.
+MEMORY_CHILD = """
+import json, sys
+import numpy as np
+from apclust.core import ApcConfig, run_apc
+from apclust.pipeline import estimate_apc_memory_gb
+
+def status_bytes(field):
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) * 1024
+
+n, jitter = int(sys.argv[1]), float(sys.argv[2])
+config = ApcConfig(q=0.5, max_iterations=3, convergence_window=2, jitter_scale=jitter)
+run_apc(np.random.default_rng(0).uniform(0, 1000, size=(50, 2)), config)  # load every code path first
+xy = np.random.default_rng(1).uniform(0, 1000, size=(n, 2))
+rss_before, hwm_before = status_bytes("VmRSS"), status_bytes("VmHWM")
+run_apc(xy, config)
+hwm_after = status_bytes("VmHWM")
+json.dump(
+    {
+        "growth": hwm_after - rss_before,
+        "hwm_rose": hwm_after > hwm_before,
+        "estimate": estimate_apc_memory_gb(n, jitter=jitter > 0) * 1e9,
+    },
+    sys.stdout,
+)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc/<pid>/status")
+@pytest.mark.parametrize("n", [1000, 3000])
+@pytest.mark.parametrize("jitter", [0.0, 1e-6])
+def test_memory_estimate_bounds_measured_peak(n, jitter):
+    env = dict(os.environ, PYTHONPATH=str(Path(apclust.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_CHILD, str(n), str(jitter)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads(proc.stdout)
+    assert stats["hwm_rose"]
+    assert 0.75 * stats["estimate"] <= stats["growth"] <= stats["estimate"], stats
 
 
 def small_manifest(crash_csv, out_dir, **overrides) -> RunManifest:
@@ -227,6 +292,23 @@ class TestRunSweep:
         manifest = small_manifest(crash_csv, tmp_path / "out", max_iterations=3, convergence_window=2)
         report = run_sweep(manifest)
         assert len(report.cells) == 4
+
+    def test_memory_cap_bounds_concurrent_cells(self, crash_csv, tmp_path, monkeypatch):
+        # A cap that holds one largest run, but not two, allows one worker;
+        # one that holds two but not three allows two.
+        seen = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setenv("APCLUST_THREADS", "4")
+        est = estimate_apc_memory_gb(60)
+        run_sweep(small_manifest(crash_csv, tmp_path / "one", mem_cap_gb=1.5 * est))
+        run_sweep(small_manifest(crash_csv, tmp_path / "two", mem_cap_gb=2.5 * est))
+        assert seen == [1, 2]
 
     def test_thread_cap_respected(self, crash_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("APCLUST_THREADS", "1")
@@ -377,3 +459,51 @@ class TestCli:
             sweep_val = [p for p in sweep_line.split() if p.startswith(field)]
             cluster_val = [p for p in cluster_line.split() if p.startswith(field)]
             assert sweep_val == cluster_val
+
+
+@pytest.fixture
+def small_units():
+    xy = np.random.default_rng(4).uniform(0, 500, size=(20, 2))
+    result = run_apc(xy, ApcConfig(q=0.5))
+    units, cell = build_units(result, xy, np.empty((0, 2)), ScaleThresholds(), q=0.5, sample_size=20)
+    return units, cell
+
+
+class HalfWrite:
+    """A text file whose write stores half of what it is given, then fails as a full disk would."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, text):
+        self.f.write(text[: len(text) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("name", ["clusters.geojson", "summary.csv"])
+    def test_failed_write_leaves_no_partial_file(self, small_units, tmp_path, monkeypatch, name):
+        units, cell = small_units
+
+        def export(path):
+            if name == "summary.csv":
+                export_summary(SweepReport(cells=[cell], dataset_size=20, seed=0, timestamp=""), path)
+            else:
+                export_geojson(units, BLOB_FRAME_ORIGIN, path)
+
+        export(tmp_path / name)
+        before = (tmp_path / name).read_bytes()
+        monkeypatch.setattr(pipeline, "open", lambda *a, **k: HalfWrite(open(*a, **k)), raising=False)
+        with pytest.raises(OSError):
+            export(tmp_path / name)
+        with pytest.raises(OSError):
+            export(tmp_path / f"new-{name}")
+        assert (tmp_path / name).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
