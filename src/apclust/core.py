@@ -30,26 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .geo import planar_to_array
 
 # Scratch budget per row block: the message-passing kernel's block holds as
 # many rows as fit in this many bytes of float64 (at least one), and the
 # distance construction's (rows, n, 2) differences fit in the same budget.
 _SCRATCH_BYTES = 2**20
-
-
-def _as_xy(points) -> np.ndarray:
-    """Coerce a point sequence (array, tuples, or objects with .x/.y) to an (n, 2) float array."""
-    if isinstance(points, np.ndarray):
-        xy = np.asarray(points, dtype=np.float64)
-    else:
-        seq = list(points)
-        if seq and hasattr(seq[0], "x"):
-            xy = np.array([[p.x, p.y] for p in seq], dtype=np.float64)
-        else:
-            xy = np.asarray(seq, dtype=np.float64)
-    if xy.ndim != 2 or xy.shape[1] != 2:
-        raise InputError(f"expected planar (n, 2) coordinates, got shape {xy.shape}")
-    return xy
 
 
 @dataclass
@@ -141,7 +127,9 @@ def build_similarity(points) -> SimilarityMatrix:
     computed explicitly (blocked over rows) so identical points yield an
     exact similarity of 0.
     """
-    xy = _as_xy(points)
+    xy = planar_to_array(points)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise InputError(f"expected planar (n, 2) coordinates, got shape {xy.shape}")
     n = xy.shape[0]
     if n == 0:
         raise InputError("at least one point is required")

@@ -18,7 +18,6 @@ import os
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +40,16 @@ _RUN_OVERHEAD_BYTES = 2**19
 
 @dataclass
 class RunManifest:
-    """Everything one sweep needs: inputs, parameter grid, thresholds, output location."""
+    """Everything one sweep needs: inputs, parameter grid, thresholds, output location.
+
+    A sample size of None means the full dataset. With no output_dir the
+    sweep writes nothing and only returns its report.
+    """
 
     input_crashes: Path
     q_levels: list[float]
-    sample_sizes: list[int]
-    output_dir: Path
+    sample_sizes: list[int | None]
+    output_dir: Path | None
     input_intersections: Path | None = None
     rng_seed: int = 0
     thresholds: ScaleThresholds | str = field(default_factory=ScaleThresholds)
@@ -65,11 +68,19 @@ class RunManifest:
         for q in self.q_levels:
             if not 0.0 <= q <= 1.0:
                 raise InputError(f"q level {q} out of [0, 1]")
+        # Output files are named by f"{q:g}", so two levels with one label
+        # would overwrite each other's GeoJSON.
+        labels = [f"{q:g}" for q in self.q_levels]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise InputError(f"q levels repeat the output label {label}")
         if not self.sample_sizes:
             raise InputError("sample_sizes must be non-empty")
         for k in self.sample_sizes:
-            if k < 2:
+            if k is not None and k < 2:
                 raise InputError(f"sample size {k} below the minimum of 2")
+            if self.sample_sizes.count(k) > 1:
+                raise InputError(f"sample size {k} repeats")
         if isinstance(self.thresholds, str) and self.thresholds != "derive":
             raise InputError(f"thresholds must be explicit or 'derive', got {self.thresholds!r}")
         if self.thresholds == "derive" and self.input_intersections is None:
@@ -82,8 +93,6 @@ class SweepReport:
 
     cells: list[SweepCell]
     dataset_size: int
-    seed: int
-    timestamp: str
 
 
 @dataclass
@@ -136,6 +145,19 @@ def ingest_crashes(path) -> IngestResult:
     if not points:
         raise InputError(f"{path}: no valid coordinate rows")
     return IngestResult(points=points, n_rows=n_rows, n_dropped=n_dropped)
+
+
+def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoint]:
+    """Ingest a points file and project it to planar meters around origin.
+
+    The origin defaults to the file's own centroid. Only the (n, 2) array
+    is kept: the parsed rows are freed on return rather than held through
+    the clustering runs.
+    """
+    points = ingest_crashes(path).points
+    if origin is None:
+        origin = centroid(points)
+    return planar_to_array(project(points, origin)), origin
 
 
 def sample_points(points, k: int, seed) -> list:
@@ -200,19 +222,21 @@ def run_sweep(manifest: RunManifest) -> SweepReport:
     files; they run concurrently up to the APCLUST_THREADS cap, and no more
     at once than the memory cap holds at the largest run's estimate. A failed
     clustering run aborts the sweep naming the offending cell; failed
-    GeoJSON exports only warn, and the summary is still written.
+    GeoJSON exports only warn, and the summary is still written. Each cell
+    that did not converge is logged as a warning.
     """
     manifest.validate()
-    out_dir = Path(manifest.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    crashes = ingest_crashes(manifest.input_crashes)
-    n_total = len(crashes.points)
-    for k in manifest.sample_sizes:
+    # One shared planar frame: origin is the centroid of the full dataset.
+    xy_all, origin = _ingest_xy(manifest.input_crashes)
+    n_total = xy_all.shape[0]
+    sizes = [n_total if k is None else k for k in manifest.sample_sizes]
+    for k in sizes:
+        if k < 2:
+            raise InputError(f"sample size {k} below the minimum of 2")
         if k > n_total:
             raise InputError(f"sample size {k} exceeds the {n_total}-point dataset")
 
-    est_gb = estimate_apc_memory_gb(max(manifest.sample_sizes), jitter=manifest.jitter_scale > 0)
+    est_gb = estimate_apc_memory_gb(max(sizes), jitter=manifest.jitter_scale > 0)
     if est_gb > manifest.mem_cap_gb:
         raise ResourceLimitError(
             f"estimated {est_gb:.1f} GB for the largest run exceeds the {manifest.mem_cap_gb:.1f} GB cap"
@@ -220,89 +244,77 @@ def run_sweep(manifest: RunManifest) -> SweepReport:
     if est_gb > manifest.mem_warn_gb:
         log.warning("largest run estimated at %.1f GB resident", est_gb)
 
-    # One shared planar frame: origin is the centroid of the full dataset.
-    origin = centroid(crashes.points)
-    xy_all = planar_to_array(project(crashes.points, origin))
-
     inter_xy = np.empty((0, 2))
     if manifest.input_intersections is not None:
-        inter = ingest_crashes(manifest.input_intersections)
-        inter_xy = planar_to_array(project(inter.points, origin))
+        inter_xy, _ = _ingest_xy(manifest.input_intersections, origin)
 
     thresholds = manifest.thresholds
     if thresholds == "derive":
-        bounds = (
-            inter_xy[:, 0].min(),
-            inter_xy[:, 1].min(),
-            inter_xy[:, 0].max(),
-            inter_xy[:, 1].max(),
-        )
+        bounds = (*inter_xy.min(axis=0), *inter_xy.max(axis=0))
         meso_max = derive_meso_threshold(bounds, inter_xy, cell_km=1.0)
         thresholds = ScaleThresholds(meso_max=meso_max)
         log.info("derived meso threshold: %d intersections", meso_max)
 
     samples = {
         k: xy_all[_sample_indices(n_total, k, np.random.SeedSequence([manifest.rng_seed, k]))]
-        for k in manifest.sample_sizes
+        for k in sizes
     }
 
-    def run_cell(q: float, k: int) -> tuple[list[UnitOfAnalysis], SweepCell, bool]:
-        config = ApcConfig(
-            q=q,
-            damping=manifest.damping,
-            max_iterations=manifest.max_iterations,
-            convergence_window=manifest.convergence_window,
-            jitter_scale=manifest.jitter_scale,
-            rng_seed=_cell_seed(manifest.rng_seed, k, q),
-        )
-        result = run_apc(samples[k], config)
-        units, cell = build_units(
-            result,
-            samples[k],
-            inter_xy,
-            thresholds,
-            q=q,
-            sample_size=k,
-            buffer_m=manifest.buffer_m,
-        )
-        return units, cell, result.converged
-
-    grid = [(q, k) for q in manifest.q_levels for k in manifest.sample_sizes]
-    outcomes: dict[tuple[float, int], tuple[list[UnitOfAnalysis], SweepCell, bool]] = {}
-    # The cap bounds all concurrent runs together, not each one.
-    workers = min(_max_workers(len(grid)), max(1, int(manifest.mem_cap_gb // est_gb)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {(q, k): pool.submit(run_cell, q, k) for q, k in grid}
-        for (q, k), fut in futures.items():
-            try:
-                outcomes[(q, k)] = fut.result()
-            except ApclustError as exc:
-                raise type(exc)(f"sweep cell q={q:g} sample={k} failed: {exc}") from exc
-            except Exception as exc:
-                raise ApclustError(f"sweep cell q={q:g} sample={k} failed: {exc}") from exc
-
-    cells = []
-    any_converged = False
-    for q, k in grid:
-        units, cell, converged = outcomes[(q, k)]
-        cells.append(cell)
-        any_converged = any_converged or converged
-        geojson_path = out_dir / f"clusters_q{q:g}_s{k}.geojson"
+    def run_cell(q: float, k: int) -> tuple[list[UnitOfAnalysis], SweepCell]:
         try:
-            export_geojson(units, origin, geojson_path)
+            config = ApcConfig(
+                q=q,
+                damping=manifest.damping,
+                max_iterations=manifest.max_iterations,
+                convergence_window=manifest.convergence_window,
+                jitter_scale=manifest.jitter_scale,
+                rng_seed=_cell_seed(manifest.rng_seed, k, q),
+            )
+            result = run_apc(samples[k], config)
+            return build_units(
+                result,
+                samples[k],
+                inter_xy,
+                thresholds,
+                q=q,
+                sample_size=k,
+                buffer_m=manifest.buffer_m,
+            )
+        except ApclustError as exc:
+            raise type(exc)(f"sweep cell q={q:g} sample={k} failed: {exc}") from exc
         except Exception as exc:
-            log.warning("GeoJSON export failed for %s: %s", geojson_path, exc)
+            raise ApclustError(f"sweep cell q={q:g} sample={k} failed: {exc}") from exc
 
-    report = SweepReport(
-        cells=cells,
-        dataset_size=n_total,
-        seed=manifest.rng_seed,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
-    export_summary(report, out_dir / "summary.csv")
+    qs, ks = zip(*[(q, k) for q in manifest.q_levels for k in sizes])
+    # The cap bounds all concurrent runs together, not each one.
+    workers = min(_max_workers(len(qs)), max(1, int(manifest.mem_cap_gb // est_gb)))
+    if workers == 1:
+        # In the calling thread: a worker thread's own malloc arena would
+        # add about 0.5 MB to the peak resident set of a one-cell run.
+        outcomes = list(map(run_cell, qs, ks))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run_cell, qs, ks))
 
-    if manifest.require_convergence and not any_converged:
-        raise ConvergenceError("no sweep cell converged within the iteration budget")
+    report = SweepReport(cells=[cell for _, cell in outcomes], dataset_size=n_total)
+    if manifest.output_dir is not None:
+        out_dir = Path(manifest.output_dir)
+        for q, k, (units, _) in zip(qs, ks, outcomes):
+            geojson_path = out_dir / f"clusters_q{q:g}_s{k}.geojson"
+            try:
+                export_geojson(units, origin, geojson_path)
+            except Exception as exc:
+                log.warning("GeoJSON export failed for %s: %s", geojson_path, exc)
+        export_summary(report, out_dir / "summary.csv")
+
+    stalled = [cell for cell in report.cells if not cell.converged]
+    for cell in stalled:
+        log.warning(
+            "cell q=%g sample=%d did not converge in %d iterations", cell.q, cell.sample_size, cell.iterations
+        )
+    if manifest.require_convergence and len(stalled) == len(report.cells):
+        named = ", ".join(f"q={c.q:g} sample={c.sample_size} iterations={c.iterations}" for c in stalled)
+        raise ConvergenceError(f"no cell converged within the iteration budget: {named}")
     return report
 
 

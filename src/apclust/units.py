@@ -64,6 +64,8 @@ class SweepCell:
     median_area_km2: float
     median_intersections: float
     level: str
+    converged: bool
+    iterations: int
 
 
 def classify_level(median_intersections: float, t: ScaleThresholds | None = None) -> str:
@@ -152,7 +154,8 @@ def build_units(
 
     Medians use linear interpolation; the run-level scale applies
     classify_level to the median intersection count over clusters. q and
-    sample_size are carried into the SweepCell for reporting.
+    sample_size are carried into the SweepCell for reporting, with the
+    run's convergence flag and iteration count.
     """
     t = t or ScaleThresholds()
     xy = planar_to_array(planar_points)
@@ -186,5 +189,7 @@ def build_units(
         median_area_km2=median_area,
         median_intersections=median_inter,
         level=classify_level(median_inter, t),
+        converged=result.converged,
+        iterations=result.iterations_run,
     )
     return units, cell

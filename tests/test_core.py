@@ -57,6 +57,10 @@ class TestBuildSimilarity:
         with pytest.raises(InputError):
             build_similarity(bad)
 
+    def test_non_planar_shape_rejected(self):
+        with pytest.raises(InputError):
+            build_similarity(np.zeros((4, 3)))
+
     def test_off_diagonal_values(self):
         m = line_matrix()
         assert sorted(m.off_diagonal()) == [-9.0, -9.0, -4.0, -4.0, -1.0, -1.0]

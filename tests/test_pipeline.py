@@ -6,6 +6,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -285,16 +286,26 @@ class TestRunSweep:
             convergence_window=4,
             require_convergence=True,
         )
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="q=0.5 sample=30 iterations=5, q=0.5 sample=60 iterations=5"):
             run_sweep(manifest)
 
-    def test_unconverged_cells_still_reported(self, crash_csv, tmp_path):
+    def test_unconverged_cells_still_reported(self, crash_csv, tmp_path, caplog):
         manifest = small_manifest(crash_csv, tmp_path / "out", max_iterations=3, convergence_window=2)
         report = run_sweep(manifest)
         assert len(report.cells) == 4
+        assert [c.iterations for c in report.cells] == [3] * 4
+        # q=0.5 cannot settle in 3 iterations; every stalled cell gets its own warning.
+        assert [c.converged for c in report.cells[:2]] == [False, False]
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warned == [
+            f"cell q={c.q:g} sample={c.sample_size} did not converge in 3 iterations"
+            for c in report.cells
+            if not c.converged
+        ]
 
     def test_memory_cap_bounds_concurrent_cells(self, crash_csv, tmp_path, monkeypatch):
-        # A cap that holds one largest run, but not two, allows one worker;
+        # A cap that holds one largest run, but not two, allows one worker,
+        # so the cells run one by one in the calling thread with no pool;
         # one that holds two but not three allows two.
         seen = []
 
@@ -307,8 +318,9 @@ class TestRunSweep:
         monkeypatch.setenv("APCLUST_THREADS", "4")
         est = estimate_apc_memory_gb(60)
         run_sweep(small_manifest(crash_csv, tmp_path / "one", mem_cap_gb=1.5 * est))
+        assert seen == []
         run_sweep(small_manifest(crash_csv, tmp_path / "two", mem_cap_gb=2.5 * est))
-        assert seen == [1, 2]
+        assert seen == [2]
 
     def test_thread_cap_respected(self, crash_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("APCLUST_THREADS", "1")
@@ -333,6 +345,20 @@ class TestRunSweep:
         with pytest.raises(InputError):
             run_sweep(small_manifest(crash_csv, tmp_path / "out", thresholds="auto"))
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"q_levels": [0.9999999, 1.0]},
+            {"q_levels": [0.5, 0.5]},
+            {"sample_sizes": [30, 30]},
+        ],
+    )
+    def test_colliding_output_names_refused(self, crash_csv, tmp_path, grid):
+        # Both cells would write the same clusters_q<q>_s<size>.geojson.
+        with pytest.raises(InputError):
+            run_sweep(small_manifest(crash_csv, tmp_path / "out", **grid))
+        assert not (tmp_path / "out").exists()
+
 
 class TestCli:
     def test_cluster_command(self, crash_csv, tmp_path, capsys):
@@ -348,8 +374,10 @@ class TestCli:
             ]
         )
         assert code == 0
-        line = capsys.readouterr().out.strip()
+        line, wrote = capsys.readouterr().out.splitlines()
         assert line.startswith("q=0.5 sample=40 clusters=")
+        assert re.search(r" level=\w+ converged=(true|false) iterations=\d+$", line)
+        assert wrote == f"wrote {out / 'summary.csv'}"
         assert (out / "clusters_q0.5_s40.geojson").exists()
         assert (out / "summary.csv").exists()
 
@@ -357,6 +385,25 @@ class TestCli:
         code = main(["cluster", "--input", str(crash_csv), "--q", "0.5"])
         assert code == 0
         assert "sample=60" in capsys.readouterr().out
+
+    def test_cluster_without_out_writes_nothing(self, crash_csv, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["cluster", "--input", str(crash_csv), "--q", "0.5", "--sample", "30"]) == 0
+        assert list(work.iterdir()) == []
+
+    def test_cluster_derive_without_intersections_exit_2(self, crash_csv, capsys):
+        code = main(["cluster", "--input", str(crash_csv), "--q", "0.5", "--thresholds", "derive"])
+        assert code == 2
+        assert "requires an intersections input" in capsys.readouterr().err
+
+    def test_repeated_q_exit_2(self, crash_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["sweep", "--input", str(crash_csv), "--q", "0.5,0.5", "--samples", "30", "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_command(self, crash_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -373,6 +420,8 @@ class TestCli:
         assert code == 0
         stdout = capsys.readouterr().out
         assert stdout.count("clusters=") == 4
+        assert stdout.count(" converged=") == 4
+        assert stdout.splitlines()[-1] == f"wrote {out / 'summary.csv'}"
         assert (out / "summary.csv").exists()
 
     def test_derive_threshold_command(self, intersections_csv, capsys):
@@ -406,11 +455,17 @@ class TestCli:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["cluster", "--input", str(tmp_path / "nope.csv"), "--q", "0.5"]) == 2
 
+    def test_single_point_dataset_exit_2(self, tmp_path):
+        # The default sample is the whole dataset, here below the minimum of 2.
+        path = tmp_path / "one.csv"
+        path.write_text("lat,lon\n45.0,7.0\n")
+        assert main(["cluster", "--input", str(path), "--q", "0.5"]) == 2
+
     def test_memory_cap_exit_3(self, crash_csv):
         code = main(["cluster", "--input", str(crash_csv), "--q", "0.5", "--mem-cap-gb", "1e-6"])
         assert code == 3
 
-    def test_convergence_exit_4(self, crash_csv):
+    def test_convergence_exit_4(self, crash_csv, capsys, caplog):
         code = main(
             [
                 "cluster",
@@ -422,6 +477,9 @@ class TestCli:
             ]
         )
         assert code == 4
+        assert "cell q=0.5 sample=60 did not converge in 3 iterations" in caplog.messages
+        err = capsys.readouterr().err
+        assert "error: no cell converged within the iteration budget: q=0.5 sample=60 iterations=3" in err
 
     def test_bad_threshold_spec_exit_2(self, crash_csv, tmp_path):
         code = main(
@@ -437,28 +495,19 @@ class TestCli:
         assert code == 2
 
     def test_cluster_matches_sweep_cell(self, crash_csv, tmp_path, capsys):
-        # The same seed and grid cell through either entry point must
-        # produce the same clustering summary.
-        out = tmp_path / "sweep"
-        main(
-            [
-                "sweep",
-                "--input", str(crash_csv),
-                "--q", "0.5",
-                "--samples", "30",
-                "--seed", "5",
-                "--out", str(out),
-            ]
-        )
-        sweep_line = [
-            line for line in capsys.readouterr().out.splitlines() if line.startswith("q=0.5")
-        ][0]
-        main(["cluster", "--input", str(crash_csv), "--q", "0.5", "--sample", "30", "--seed", "5"])
+        # The same seed and grid cell through either entry point must give
+        # the same cell line and byte-identical output files.
+        common = ["--input", str(crash_csv), "--q", "0.5", "--seed", "5"]
+        assert main(["sweep", *common, "--samples", "30", "--out", str(tmp_path / "sweep")]) == 0
+        sweep_line = capsys.readouterr().out.splitlines()[0]
+        assert main(["cluster", *common, "--sample", "30", "--out", str(tmp_path / "cluster")]) == 0
         cluster_line = capsys.readouterr().out.splitlines()[0]
-        for field in ("clusters=", "median_area_km2=", "median_intersections=", "level="):
-            sweep_val = [p for p in sweep_line.split() if p.startswith(field)]
-            cluster_val = [p for p in cluster_line.split() if p.startswith(field)]
-            assert sweep_val == cluster_val
+        assert cluster_line == sweep_line
+        names = sorted(p.name for p in (tmp_path / "sweep").iterdir())
+        assert names == ["clusters_q0.5_s30.geojson", "summary.csv"]
+        assert sorted(p.name for p in (tmp_path / "cluster").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "cluster" / name).read_bytes() == (tmp_path / "sweep" / name).read_bytes(), name
 
 
 @pytest.fixture
@@ -494,7 +543,7 @@ class TestAtomicWrites:
 
         def export(path):
             if name == "summary.csv":
-                export_summary(SweepReport(cells=[cell], dataset_size=20, seed=0, timestamp=""), path)
+                export_summary(SweepReport(cells=[cell], dataset_size=20), path)
             else:
                 export_geojson(units, BLOB_FRAME_ORIGIN, path)
 

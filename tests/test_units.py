@@ -123,6 +123,8 @@ class TestBuildUnits:
         assert len(units) == 2
         assert cell.n_clusters == 2
         assert sum(u.n_points for u in units) == len(xy)
+        assert cell.converged == res.converged
+        assert cell.iterations == res.iterations_run
         for u in units:
             assert u.level == "micro"  # no intersections anywhere
             assert u.polygon.area_km2 > 0
