@@ -8,106 +8,17 @@ preference quantiles and sample sizes and exports GeoJSON plus a summary
 table.
 """
 
-from .core import (
-    ApcConfig,
-    ClusterResult,
-    SimilarityMatrix,
-    apply_preference,
-    build_similarity,
-    net_similarity,
-    run_apc,
-    set_preference,
-)
-from .errors import (
-    ApclustError,
-    ConvergenceError,
-    DerivationError,
-    FormatError,
-    GenerationError,
-    InputError,
-    ResourceLimitError,
-)
-from .geo import (
-    DEFAULT_BUFFER_M,
-    EARTH_RADIUS_M,
-    ClusterPolygon,
-    GeoPoint,
-    PlanarPoint,
-    centroid,
-    contains,
-    planar_to_array,
-    polygon_area_km2,
-    polygonize,
-    project,
-    unproject,
-)
-from .pipeline import (
-    IngestResult,
-    RunManifest,
-    SweepReport,
-    estimate_apc_memory_gb,
-    export_geojson,
-    export_summary,
-    ingest_crashes,
-    run_sweep,
-    sample_points,
-)
-from .units import (
-    LEVELS,
-    ScaleThresholds,
-    SweepCell,
-    UnitOfAnalysis,
-    build_units,
-    classify_level,
-    count_intersections,
-    derive_meso_threshold,
-)
+from .core import ApcConfig, run_apc
+from .geo import centroid, planar_to_array, project
+from .units import build_units
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApcConfig",
-    "ApclustError",
-    "ClusterPolygon",
-    "ClusterResult",
-    "ConvergenceError",
-    "DEFAULT_BUFFER_M",
-    "DerivationError",
-    "EARTH_RADIUS_M",
-    "FormatError",
-    "GenerationError",
-    "GeoPoint",
-    "IngestResult",
-    "InputError",
-    "LEVELS",
-    "PlanarPoint",
-    "ResourceLimitError",
-    "RunManifest",
-    "ScaleThresholds",
-    "SimilarityMatrix",
-    "SweepCell",
-    "SweepReport",
-    "UnitOfAnalysis",
-    "apply_preference",
-    "build_similarity",
     "build_units",
     "centroid",
-    "classify_level",
-    "contains",
-    "count_intersections",
-    "derive_meso_threshold",
-    "estimate_apc_memory_gb",
-    "export_geojson",
-    "export_summary",
-    "ingest_crashes",
-    "net_similarity",
     "planar_to_array",
-    "polygon_area_km2",
-    "polygonize",
     "project",
     "run_apc",
-    "run_sweep",
-    "sample_points",
-    "set_preference",
-    "unproject",
 ]

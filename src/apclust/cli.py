@@ -22,18 +22,11 @@ from .pipeline import RunManifest, _ingest_xy, run_sweep
 from .units import ScaleThresholds, derive_meso_threshold
 
 
-def _parse_q_list(raw: str) -> list[float]:
+def _parse_list(raw: str, kind: type, what: str) -> list:
     try:
-        return [float(part) for part in raw.split(",") if part.strip()]
+        return [kind(part) for part in raw.split(",") if part.strip()]
     except ValueError:
-        raise InputError(f"could not parse q list {raw!r}, expected comma-separated floats")
-
-
-def _parse_int_list(raw: str) -> list[int]:
-    try:
-        return [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise InputError(f"could not parse size list {raw!r}, expected comma-separated integers")
+        raise InputError(f"could not parse {what} list {raw!r}, expected comma-separated {kind.__name__}s")
 
 
 def _parse_thresholds(raw: str) -> ScaleThresholds | str:
@@ -59,12 +52,12 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int, default=100, help="iterations of unchanged exemplars to converge")
     p.add_argument("--jitter-scale", type=float, default=0.0, help="similarity noise scale for tie breaking")
     p.add_argument("--buffer-m", type=float, default=15.0, help="half-width for degenerate cluster buffering")
-    p.add_argument("--mem-warn-gb", type=float, default=2.0, help="warn above this estimated footprint")
     p.add_argument(
         "--mem-cap-gb",
         type=float,
         default=8.0,
-        help="refuse above this estimated footprint; a sweep runs no more cells at once than it holds",
+        help="refuse above this estimated footprint and warn above a quarter of it; "
+        "a sweep runs no more cells at once than it holds",
     )
     p.add_argument(
         "--strict-convergence",
@@ -106,7 +99,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.command == "cluster":
         q_levels, sample_sizes = [args.q], [args.sample]
     else:
-        q_levels, sample_sizes = _parse_q_list(args.q), _parse_int_list(args.samples)
+        q_levels, sample_sizes = _parse_list(args.q, float, "q"), _parse_list(args.samples, int, "size")
     thresholds: ScaleThresholds | str
     if args.thresholds is None:
         thresholds = ScaleThresholds()
@@ -125,12 +118,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         convergence_window=args.window,
         jitter_scale=args.jitter_scale,
         buffer_m=args.buffer_m,
-        mem_warn_gb=args.mem_warn_gb,
         mem_cap_gb=args.mem_cap_gb,
         require_convergence=args.strict_convergence,
     )
-    report = run_sweep(manifest)
-    for cell in report.cells:
+    for cell in run_sweep(manifest):
         print(
             f"q={cell.q:g} sample={cell.sample_size} clusters={cell.n_clusters} "
             f"median_area_km2={cell.median_area_km2:.3f} "

@@ -55,11 +55,6 @@ class ClusterPolygon:
     area_km2: float
     member_count: int
 
-    def bounds(self) -> tuple[float, float, float, float]:
-        xs = [p.x for p in self.ring]
-        ys = [p.y for p in self.ring]
-        return min(xs), min(ys), max(xs), max(ys)
-
 
 def _check_lat(lat: float) -> None:
     if abs(lat) > MAX_SUPPORTED_LAT_DEG:

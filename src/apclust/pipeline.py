@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import logging
-import math
 import os
 import uuid
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +42,7 @@ class RunManifest:
     """Everything one sweep needs: inputs, parameter grid, thresholds, output location.
 
     A sample size of None means the full dataset. With no output_dir the
-    sweep writes nothing and only returns its report.
+    sweep writes nothing and only returns its cells.
     """
 
     input_crashes: Path
@@ -58,7 +57,6 @@ class RunManifest:
     convergence_window: int = 100
     jitter_scale: float = 0.0
     buffer_m: float = 15.0
-    mem_warn_gb: float = 2.0
     mem_cap_gb: float = 8.0
     require_convergence: bool = False
 
@@ -76,23 +74,10 @@ class RunManifest:
                 raise InputError(f"q levels repeat the output label {label}")
         if not self.sample_sizes:
             raise InputError("sample_sizes must be non-empty")
-        for k in self.sample_sizes:
-            if k is not None and k < 2:
-                raise InputError(f"sample size {k} below the minimum of 2")
-            if self.sample_sizes.count(k) > 1:
-                raise InputError(f"sample size {k} repeats")
         if isinstance(self.thresholds, str) and self.thresholds != "derive":
             raise InputError(f"thresholds must be explicit or 'derive', got {self.thresholds!r}")
         if self.thresholds == "derive" and self.input_intersections is None:
             raise InputError("thresholds='derive' requires an intersections input")
-
-
-@dataclass
-class SweepReport:
-    """All sweep cells plus the run metadata behind them."""
-
-    cells: list[SweepCell]
-    dataset_size: int
 
 
 @dataclass
@@ -107,8 +92,9 @@ class IngestResult:
 def ingest_crashes(path) -> IngestResult:
     """Read lat/lon decimal-degree points from header-keyed delimited text.
 
-    Columns other than lat/lon are ignored. Rows with missing, unparseable,
-    or out-of-range coordinates are dropped and counted in a logged warning.
+    Columns other than lat/lon are ignored. Rows with missing or unparseable
+    coordinates, or ones GeoPoint refuses, are dropped and counted in a
+    logged warning.
     """
     path = Path(path)
     if not path.exists():
@@ -128,18 +114,9 @@ def ingest_crashes(path) -> IngestResult:
         for row in reader:
             n_rows += 1
             try:
-                lat = float(row[lat_col])
-                lon = float(row[lon_col])
-            except (TypeError, ValueError):
+                points.append(GeoPoint(lon=float(row[lon_col]), lat=float(row[lat_col])))
+            except (TypeError, ValueError, InputError):
                 n_dropped += 1
-                continue
-            if not (math.isfinite(lat) and math.isfinite(lon)):
-                n_dropped += 1
-                continue
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                n_dropped += 1
-                continue
-            points.append(GeoPoint(lon=lon, lat=lat))
     if n_dropped:
         log.warning("%s: dropped %d of %d rows with invalid coordinates", path, n_dropped, n_rows)
     if not points:
@@ -160,22 +137,8 @@ def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoi
     return planar_to_array(project(points, origin)), origin
 
 
-def sample_points(points, k: int, seed) -> list:
-    """Uniform sample of k items without replacement, in input order, deterministic per seed."""
-    n = len(points)
-    if k < 2:
-        raise InputError(f"sample size {k} below the minimum of 2")
-    if k > n:
-        raise InputError(f"sample size {k} exceeds the {n} available points")
-    if k == n:
-        return list(points)
-    idx = _sample_indices(n, k, seed)
-    return [points[i] for i in idx]
-
-
 def _sample_indices(n: int, k: int, seed) -> np.ndarray:
-    if k == n:
-        return np.arange(n)
+    """Sorted indices of a uniform k-of-n sample without replacement, deterministic per seed."""
     rng = np.random.default_rng(seed)
     idx = rng.choice(n, size=k, replace=False)
     idx.sort()
@@ -215,7 +178,7 @@ def _max_workers(n_cells: int) -> int:
     return max(1, min(limit, n_cells))
 
 
-def run_sweep(manifest: RunManifest) -> SweepReport:
+def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     """Run every (q, sample size) cell, write per-cell GeoJSON and the summary table.
 
     Cells are independent jobs sharing read-only inputs and disjoint output
@@ -223,25 +186,30 @@ def run_sweep(manifest: RunManifest) -> SweepReport:
     at once than the memory cap holds at the largest run's estimate. A failed
     clustering run aborts the sweep naming the offending cell; failed
     GeoJSON exports only warn, and the summary is still written. Each cell
-    that did not converge is logged as a warning.
+    that did not converge is logged as a warning. Returns the cells in grid
+    order, q-major.
     """
     manifest.validate()
     # One shared planar frame: origin is the centroid of the full dataset.
     xy_all, origin = _ingest_xy(manifest.input_crashes)
     n_total = xy_all.shape[0]
+    # Output files are named by the resolved size, so a repeat is checked
+    # only once None has become the dataset size.
     sizes = [n_total if k is None else k for k in manifest.sample_sizes]
     for k in sizes:
         if k < 2:
             raise InputError(f"sample size {k} below the minimum of 2")
         if k > n_total:
             raise InputError(f"sample size {k} exceeds the {n_total}-point dataset")
+        if sizes.count(k) > 1:
+            raise InputError(f"sample size {k} repeats")
 
     est_gb = estimate_apc_memory_gb(max(sizes), jitter=manifest.jitter_scale > 0)
     if est_gb > manifest.mem_cap_gb:
         raise ResourceLimitError(
             f"estimated {est_gb:.1f} GB for the largest run exceeds the {manifest.mem_cap_gb:.1f} GB cap"
         )
-    if est_gb > manifest.mem_warn_gb:
+    if est_gb > manifest.mem_cap_gb / 4:
         log.warning("largest run estimated at %.1f GB resident", est_gb)
 
     inter_xy = np.empty((0, 2))
@@ -288,6 +256,10 @@ def run_sweep(manifest: RunManifest) -> SweepReport:
     qs, ks = zip(*[(q, k) for q in manifest.q_levels for k in sizes])
     # The cap bounds all concurrent runs together, not each one.
     workers = min(_max_workers(len(qs)), max(1, int(manifest.mem_cap_gb // est_gb)))
+    # Every input is checked by now; an output directory that cannot be
+    # made fails here, before any clustering time is spent.
+    if manifest.output_dir is not None:
+        Path(manifest.output_dir).mkdir(parents=True, exist_ok=True)
     if workers == 1:
         # In the calling thread: a worker thread's own malloc arena would
         # add about 0.5 MB to the peak resident set of a one-cell run.
@@ -296,7 +268,7 @@ def run_sweep(manifest: RunManifest) -> SweepReport:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_cell, qs, ks))
 
-    report = SweepReport(cells=[cell for _, cell in outcomes], dataset_size=n_total)
+    cells = [cell for _, cell in outcomes]
     if manifest.output_dir is not None:
         out_dir = Path(manifest.output_dir)
         for q, k, (units, _) in zip(qs, ks, outcomes):
@@ -305,17 +277,17 @@ def run_sweep(manifest: RunManifest) -> SweepReport:
                 export_geojson(units, origin, geojson_path)
             except Exception as exc:
                 log.warning("GeoJSON export failed for %s: %s", geojson_path, exc)
-        export_summary(report, out_dir / "summary.csv")
+        export_summary(cells, out_dir / "summary.csv")
 
-    stalled = [cell for cell in report.cells if not cell.converged]
+    stalled = [cell for cell in cells if not cell.converged]
     for cell in stalled:
         log.warning(
             "cell q=%g sample=%d did not converge in %d iterations", cell.q, cell.sample_size, cell.iterations
         )
-    if manifest.require_convergence and len(stalled) == len(report.cells):
+    if manifest.require_convergence and len(stalled) == len(cells):
         named = ", ".join(f"q={c.q:g} sample={c.sample_size} iterations={c.iterations}" for c in stalled)
         raise ConvergenceError(f"no cell converged within the iteration budget: {named}")
-    return report
+    return cells
 
 
 def export_geojson(units: list[UnitOfAnalysis], origin: GeoPoint, path) -> None:
@@ -347,7 +319,7 @@ def export_geojson(units: list[UnitOfAnalysis], origin: GeoPoint, path) -> None:
     _write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
-def export_summary(report: SweepReport, path) -> None:
+def export_summary(cells: list[SweepCell], path) -> None:
     """Write the sweep table: q, sample size, cluster count, medians, level.
 
     Areas use 3 decimals and medians 1, so re-running an identical manifest
@@ -356,7 +328,7 @@ def export_summary(report: SweepReport, path) -> None:
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(["q", "sample_size", "n_clusters", "median_area_km2", "median_intersections", "level"])
-    for cell in report.cells:
+    for cell in cells:
         writer.writerow(
             [
                 f"{cell.q:g}",

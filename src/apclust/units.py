@@ -26,8 +26,6 @@ from .geo import (
     polygonize,
 )
 
-LEVELS = ("micro", "meso", "macro")
-
 
 @dataclass(frozen=True)
 class ScaleThresholds:
@@ -91,7 +89,9 @@ def count_intersections(ua_polygons: list[ClusterPolygon], intersections) -> lis
         return [0] * len(ua_polygons)
     counts = []
     for poly in ua_polygons:
-        xmin, ymin, xmax, ymax = poly.bounds()
+        ring = planar_to_array(poly.ring)
+        xmin, ymin = ring.min(axis=0)
+        xmax, ymax = ring.max(axis=0)
         near = (
             (xy[:, 0] >= xmin - 1.0)
             & (xy[:, 0] <= xmax + 1.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import errno
 import json
 import math
@@ -17,19 +18,17 @@ import pytest
 
 import apclust
 from apclust import pipeline
-from apclust.cli import main
+from apclust.cli import build_parser, main
 from apclust.core import ApcConfig, run_apc
 from apclust.errors import ConvergenceError, FormatError, InputError, ResourceLimitError
 from apclust.geo import GeoPoint
 from apclust.pipeline import (
     RunManifest,
-    SweepReport,
     estimate_apc_memory_gb,
     export_geojson,
     export_summary,
     ingest_crashes,
     run_sweep,
-    sample_points,
 )
 from apclust.testkit import BLOB_FRAME_ORIGIN, SyntheticSpec, generate_blobs, write_points_csv
 from apclust.units import ScaleThresholds, build_units
@@ -69,11 +68,35 @@ class TestIngest:
 
     def test_invalid_rows_dropped_and_counted(self, tmp_path):
         path = tmp_path / "dirty.csv"
-        path.write_text("lat,lon\n-30.0,-51.2\nnot_a_number,-51.2\n-30.1,\n95.0,-51.2\n-30.2,-51.3\n")
+        rows = [
+            "-30.0,-51.2",
+            "not_a_number,-51.2",
+            "-30.1,",
+            "95.0,-51.2",
+            "-30.2,-51.3",
+            "nan,-51.2",
+            "-30.3,inf",
+            "90.5,-51.2",
+            "-30.4,-180.5",
+            ",-51.2",
+            "-30.5",
+            "90,-51.2",
+            "-90,-51.2",
+            "-30.6,180",
+            "-30.7,-180",
+        ]
+        path.write_text("lat,lon\n" + "\n".join(rows) + "\n")
         result = ingest_crashes(path)
-        assert len(result.points) == 2
-        assert result.n_rows == 5
-        assert result.n_dropped == 3
+        assert [(p.lat, p.lon) for p in result.points] == [
+            (-30.0, -51.2),
+            (-30.2, -51.3),
+            (90.0, -51.2),
+            (-90.0, -51.2),
+            (-30.6, 180.0),
+            (-30.7, -180.0),
+        ]
+        assert result.n_rows == 15
+        assert result.n_dropped == 9
 
     def test_missing_header_refused(self, tmp_path):
         path = tmp_path / "wrong.csv"
@@ -100,27 +123,18 @@ class TestIngest:
 
 class TestSampling:
     def test_deterministic(self):
-        pts = list(range(100))
-        a = sample_points(pts, 10, 42)
-        b = sample_points(pts, 10, 42)
-        assert a == b
-        assert a != sample_points(pts, 10, 43)
+        a = pipeline._sample_indices(100, 10, 42)
+        b = pipeline._sample_indices(100, 10, 42)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, pipeline._sample_indices(100, 10, 43))
 
     def test_without_replacement_in_order(self):
-        pts = list(range(50))
-        sample = sample_points(pts, 20, 7)
-        assert len(set(sample)) == 20
-        assert sample == sorted(sample)
+        sample = pipeline._sample_indices(50, 20, 7)
+        assert len(set(sample.tolist())) == 20
+        assert sample.tolist() == sorted(sample.tolist())
 
     def test_full_sample_is_identity(self):
-        pts = list(range(9))
-        assert sample_points(pts, 9, 1) == pts
-
-    def test_bad_sizes_refused(self):
-        with pytest.raises(InputError):
-            sample_points(list(range(5)), 1, 0)
-        with pytest.raises(InputError):
-            sample_points(list(range(5)), 6, 0)
+        assert np.array_equal(pipeline._sample_indices(9, 9, 1), np.arange(9))
 
     def test_memory_estimate(self):
         # S, R and A at 8 bytes, plus the jittered copy of S when jitter is on.
@@ -196,9 +210,8 @@ def small_manifest(crash_csv, out_dir, **overrides) -> RunManifest:
 class TestRunSweep:
     def test_grid_outputs(self, crash_csv, tmp_path):
         out = tmp_path / "out"
-        report = run_sweep(small_manifest(crash_csv, out))
-        assert len(report.cells) == 4
-        assert report.dataset_size == 60
+        cells = run_sweep(small_manifest(crash_csv, out))
+        assert len(cells) == 4
         assert (out / "summary.csv").exists()
         for q in (0.5, 0.9):
             for k in (30, 60):
@@ -248,17 +261,17 @@ class TestRunSweep:
         # Both q cells at the same sample size must cluster the same points:
         # their polygons cover the same 30 sampled crashes.
         out = tmp_path / "out"
-        report = run_sweep(small_manifest(crash_csv, out, q_levels=[0.5, 0.9], sample_sizes=[30]))
-        assert [c.sample_size for c in report.cells] == [30, 30]
+        cells = run_sweep(small_manifest(crash_csv, out, q_levels=[0.5, 0.9], sample_sizes=[30]))
+        assert [c.sample_size for c in cells] == [30, 30]
 
     def test_intersections_and_derived_thresholds(self, crash_csv, intersections_csv, tmp_path):
         out = tmp_path / "out"
         manifest = small_manifest(
             crash_csv, out, input_intersections=intersections_csv, thresholds="derive", q_levels=[0.5]
         )
-        report = run_sweep(manifest)
-        assert all(c.level in ("micro", "meso", "macro") for c in report.cells)
-        assert any(c.median_intersections > 0 for c in report.cells)
+        cells = run_sweep(manifest)
+        assert all(c.level in ("micro", "meso", "macro") for c in cells)
+        assert any(c.median_intersections > 0 for c in cells)
 
     def test_derive_without_intersections_refused(self, crash_csv, tmp_path):
         manifest = small_manifest(crash_csv, tmp_path / "out", thresholds="derive")
@@ -291,15 +304,15 @@ class TestRunSweep:
 
     def test_unconverged_cells_still_reported(self, crash_csv, tmp_path, caplog):
         manifest = small_manifest(crash_csv, tmp_path / "out", max_iterations=3, convergence_window=2)
-        report = run_sweep(manifest)
-        assert len(report.cells) == 4
-        assert [c.iterations for c in report.cells] == [3] * 4
+        cells = run_sweep(manifest)
+        assert len(cells) == 4
+        assert [c.iterations for c in cells] == [3] * 4
         # q=0.5 cannot settle in 3 iterations; every stalled cell gets its own warning.
-        assert [c.converged for c in report.cells[:2]] == [False, False]
+        assert [c.converged for c in cells[:2]] == [False, False]
         warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warned == [
             f"cell q={c.q:g} sample={c.sample_size} did not converge in 3 iterations"
-            for c in report.cells
+            for c in cells
             if not c.converged
         ]
 
@@ -324,8 +337,8 @@ class TestRunSweep:
 
     def test_thread_cap_respected(self, crash_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("APCLUST_THREADS", "1")
-        report = run_sweep(small_manifest(crash_csv, tmp_path / "out"))
-        assert len(report.cells) == 4
+        cells = run_sweep(small_manifest(crash_csv, tmp_path / "out"))
+        assert len(cells) == 4
 
     def test_bad_thread_env_refused(self, crash_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("APCLUST_THREADS", "many")
@@ -351,10 +364,12 @@ class TestRunSweep:
             {"q_levels": [0.9999999, 1.0]},
             {"q_levels": [0.5, 0.5]},
             {"sample_sizes": [30, 30]},
+            {"sample_sizes": [None, 60]},
         ],
     )
     def test_colliding_output_names_refused(self, crash_csv, tmp_path, grid):
-        # Both cells would write the same clusters_q<q>_s<size>.geojson.
+        # Both cells would write the same clusters_q<q>_s<size>.geojson;
+        # None is the full 60-point dataset.
         with pytest.raises(InputError):
             run_sweep(small_manifest(crash_csv, tmp_path / "out", **grid))
         assert not (tmp_path / "out").exists()
@@ -404,6 +419,36 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_out_fails_before_clustering(self, crash_csv, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def no_clustering(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("run_apc called although the output directory cannot be made")
+
+        monkeypatch.setattr(pipeline, "run_apc", no_clustering)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        code = main(["sweep", "--input", str(crash_csv), "--q", "0.5,0.9", "--samples", "30,60", "--out", str(out)])
+        assert code == 2
+        assert calls == []
+        assert "error:" in capsys.readouterr().err
+
+    def test_option_sets(self):
+        # Adding or dropping a knob must edit this list on purpose.
+        run_options = [
+            "--input", "--seed", "--intersections", "--thresholds", "--damping", "--max-iter", "--window",
+            "--jitter-scale", "--buffer-m", "--mem-cap-gb", "--strict-convergence",
+        ]
+        expected = {
+            "cluster": ["-h", "--help", "--q", "--sample", "--out", *run_options],
+            "sweep": ["-h", "--help", "--q", "--samples", "--out", *run_options],
+        }
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        for command, options in expected.items():
+            parser = sub.choices[command]
+            assert [o for action in parser._actions for o in action.option_strings] == options, command
 
     def test_sweep_command(self, crash_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -543,7 +588,7 @@ class TestAtomicWrites:
 
         def export(path):
             if name == "summary.csv":
-                export_summary(SweepReport(cells=[cell], dataset_size=20), path)
+                export_summary([cell], path)
             else:
                 export_geojson(units, BLOB_FRAME_ORIGIN, path)
 
