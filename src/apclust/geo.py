@@ -31,12 +31,8 @@ class GeoPoint:
     lat: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lon) and math.isfinite(self.lat)):
-            raise InputError(f"non-finite coordinate ({self.lon}, {self.lat})")
-        if not -180.0 <= self.lon <= 180.0:
-            raise InputError(f"longitude {self.lon} out of [-180, 180]")
-        if not -90.0 <= self.lat <= 90.0:
-            raise InputError(f"latitude {self.lat} out of [-90, 90]")
+        if not valid_lonlat(self.lon, self.lat):
+            raise InputError(f"coordinate ({self.lon}, {self.lat}) outside lon [-180, 180], lat [-90, 90]")
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,15 @@ class ClusterPolygon:
 
     ring: list[PlanarPoint]
     area_km2: float
-    member_count: int
+
+
+def valid_lonlat(lon, lat):
+    """The coordinate rule, for floats or elementwise: finite, lon in [-180, 180], lat in [-90, 90].
+
+    NaN fails every comparison and +-inf falls outside the ranges, so the
+    range test also rules out non-finite values.
+    """
+    return (abs(lon) <= 180.0) & (abs(lat) <= 90.0)
 
 
 def _check_lat(lat: float) -> None:
@@ -61,43 +65,59 @@ def _check_lat(lat: float) -> None:
         raise InputError(f"latitude {lat} beyond supported range (|lat| <= {MAX_SUPPORTED_LAT_DEG})")
 
 
-def centroid(points: list[GeoPoint]) -> GeoPoint:
-    """Arithmetic mean of lon/lat; the conventional projection origin."""
-    if not points:
+def _lonlat(points: list[GeoPoint]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([p.lon for p in points], dtype=np.float64), np.array([p.lat for p in points], dtype=np.float64)
+
+
+def lonlat_centroid(lon: np.ndarray, lat: np.ndarray) -> GeoPoint:
+    """Arithmetic mean of lon/lat arrays; the conventional projection origin.
+
+    Sums left to right from 0, as Python 3.11's sum() does, so the origin's
+    bits do not depend on the Python version: np.sum adds pairwise and
+    3.12's sum() compensates, and either changes every output downstream.
+    """
+    if lon.size == 0:
         raise InputError("cannot take the centroid of no points")
-    lon = sum(p.lon for p in points) / len(points)
-    lat = sum(p.lat for p in points) / len(points)
-    return GeoPoint(lon=lon, lat=lat)
+    # Starting from 0.0, as sum() does, makes an all -0.0 sum +0.0.
+    mean_lon, mean_lat = ((0.0 + float(np.add.accumulate(v)[-1])) / v.size for v in (lon, lat))
+    return GeoPoint(lon=mean_lon, lat=mean_lat)
 
 
-def project(points: list[GeoPoint], origin: GeoPoint) -> list[PlanarPoint]:
-    """Project WGS84 points to local planar meters around origin.
+def centroid(points: list[GeoPoint]) -> GeoPoint:
+    """Arithmetic mean of lon/lat; the conventional projection origin (see lonlat_centroid)."""
+    return lonlat_centroid(*_lonlat(points))
+
+
+def project_lonlat(lon: np.ndarray, lat: np.ndarray, origin: GeoPoint) -> np.ndarray:
+    """Project WGS84 lon/lat arrays to an (n, 2) array of local planar meters around origin.
 
     x = R * dlon_rad * cos(lat_origin), y = R * dlat_rad.
     """
     _check_lat(origin.lat)
+    polar = np.flatnonzero(np.abs(lat) > MAX_SUPPORTED_LAT_DEG)
+    if polar.size:
+        i = int(polar[0])
+        raise InputError(f"point {i}: latitude {float(lat[i])} beyond supported range")
     cos0 = math.cos(math.radians(origin.lat))
-    out = []
-    for i, p in enumerate(points):
-        if abs(p.lat) > MAX_SUPPORTED_LAT_DEG:
-            raise InputError(f"point {i}: latitude {p.lat} beyond supported range")
-        x = EARTH_RADIUS_M * math.radians(p.lon - origin.lon) * cos0
-        y = EARTH_RADIUS_M * math.radians(p.lat - origin.lat)
-        out.append(PlanarPoint(x=x, y=y))
-    return out
+    xy = np.empty((lon.size, 2), dtype=np.float64)
+    xy[:, 0] = EARTH_RADIUS_M * np.radians(lon - origin.lon) * cos0
+    xy[:, 1] = EARTH_RADIUS_M * np.radians(lat - origin.lat)
+    return xy
+
+
+def project(points: list[GeoPoint], origin: GeoPoint) -> list[PlanarPoint]:
+    """Project WGS84 points to local planar meters around origin (see project_lonlat)."""
+    return [PlanarPoint(x=x, y=y) for x, y in project_lonlat(*_lonlat(points), origin).tolist()]
 
 
 def unproject(points, origin: GeoPoint) -> list[GeoPoint]:
     """Inverse of project; round-trips within 1e-9 degrees near the origin."""
     _check_lat(origin.lat)
     cos0 = math.cos(math.radians(origin.lat))
-    out = []
-    for p in points:
-        x, y = (p.x, p.y) if isinstance(p, PlanarPoint) else (float(p[0]), float(p[1]))
-        lon = origin.lon + math.degrees(x / (EARTH_RADIUS_M * cos0))
-        lat = origin.lat + math.degrees(y / EARTH_RADIUS_M)
-        out.append(GeoPoint(lon=lon, lat=lat))
-    return out
+    xy = planar_to_array(points).reshape(-1, 2)
+    lon = origin.lon + np.degrees(xy[:, 0] / (EARTH_RADIUS_M * cos0))
+    lat = origin.lat + np.degrees(xy[:, 1] / EARTH_RADIUS_M)
+    return [GeoPoint(lon=x, lat=y) for x, y in zip(lon.tolist(), lat.tolist())]
 
 
 def planar_to_array(points) -> np.ndarray:
@@ -163,7 +183,7 @@ def polygonize(members, buffer_m: float = DEFAULT_BUFFER_M) -> ClusterPolygon:
     area_m2 = _ring_signed_area_m2(hull)
     ring = [PlanarPoint(x=float(p[0]), y=float(p[1])) for p in hull]
     ring.append(ring[0])
-    return ClusterPolygon(ring=ring, area_km2=area_m2 / 1e6, member_count=int(xy.shape[0]))
+    return ClusterPolygon(ring=ring, area_km2=area_m2 / 1e6)
 
 
 def polygon_area_km2(p: ClusterPolygon) -> float:

@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import uuid
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 
 from .core import ApcConfig, _block_rows, run_apc
 from .errors import ApclustError, ConvergenceError, FormatError, InputError, ResourceLimitError
-from .geo import GeoPoint, centroid, planar_to_array, project, unproject
+from .geo import GeoPoint, lonlat_centroid, project_lonlat, unproject, valid_lonlat
 from .units import ScaleThresholds, SweepCell, UnitOfAnalysis, build_units, derive_meso_threshold
 
 log = logging.getLogger("apclust")
@@ -82,59 +83,75 @@ class RunManifest:
 
 @dataclass
 class IngestResult:
-    """Parsed points plus row accounting (valid + dropped = total)."""
+    """Parsed coordinates plus row accounting (valid + dropped = total)."""
 
-    points: list[GeoPoint]
+    lon: np.ndarray
+    lat: np.ndarray
     n_rows: int
     n_dropped: int
+
+    @property
+    def points(self) -> list[GeoPoint]:
+        """The kept rows as GeoPoints, built on each access."""
+        return [GeoPoint(lon=x, lat=y) for x, y in zip(self.lon.tolist(), self.lat.tolist())]
 
 
 def ingest_crashes(path) -> IngestResult:
     """Read lat/lon decimal-degree points from header-keyed delimited text.
 
-    Columns other than lat/lon are ignored. Rows with missing or unparseable
-    coordinates, or ones GeoPoint refuses, are dropped and counted in a
-    logged warning.
+    Header names match stripped and case-insensitively, the last match
+    winning. Other columns and blank lines are ignored. Rows too short, with
+    a coordinate float() cannot parse, or outside geo.valid_lonlat are
+    dropped and counted in a logged warning.
     """
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
-    points: list[GeoPoint] = []
+    # One float per coordinate, not one object per row.
+    lon, lat = array("d"), array("d")
     n_rows = 0
     n_dropped = 0
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
             raise FormatError(f"{path}: empty file, expected a header with lat and lon")
-        fields = {name.strip().lower(): name for name in reader.fieldnames}
-        if "lat" not in fields or "lon" not in fields:
-            raise FormatError(f"{path}: header must contain lat and lon columns, got {reader.fieldnames}")
-        lat_col = fields["lat"]
-        lon_col = fields["lon"]
+        columns = {name.strip().lower(): i for i, name in enumerate(header)}
+        if "lat" not in columns or "lon" not in columns:
+            raise FormatError(f"{path}: header must contain lat and lon columns, got {header}")
+        lat_i, lon_i = columns["lat"], columns["lon"]
         for row in reader:
+            if not row:
+                continue
             n_rows += 1
             try:
-                points.append(GeoPoint(lon=float(row[lon_col]), lat=float(row[lat_col])))
-            except (TypeError, ValueError, InputError):
+                x, y = float(row[lon_i]), float(row[lat_i])
+            except (IndexError, ValueError):
                 n_dropped += 1
+                continue
+            lon.append(x)
+            lat.append(y)
+    lon_all, lat_all = np.frombuffer(lon), np.frombuffer(lat)
+    keep = valid_lonlat(lon_all, lat_all)
+    n_dropped += int(keep.size - np.count_nonzero(keep))
     if n_dropped:
         log.warning("%s: dropped %d of %d rows with invalid coordinates", path, n_dropped, n_rows)
-    if not points:
+    if n_dropped == n_rows:
         raise InputError(f"{path}: no valid coordinate rows")
-    return IngestResult(points=points, n_rows=n_rows, n_dropped=n_dropped)
+    return IngestResult(lon=lon_all[keep], lat=lat_all[keep], n_rows=n_rows, n_dropped=n_dropped)
 
 
 def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoint]:
     """Ingest a points file and project it to planar meters around origin.
 
     The origin defaults to the file's own centroid. Only the (n, 2) array
-    is kept: the parsed rows are freed on return rather than held through
-    the clustering runs.
+    is kept: the coordinate arrays are freed on return rather than held
+    through the clustering runs.
     """
-    points = ingest_crashes(path).points
+    rows = ingest_crashes(path)
     if origin is None:
-        origin = centroid(points)
-    return planar_to_array(project(points, origin)), origin
+        origin = lonlat_centroid(rows.lon, rows.lat)
+    return project_lonlat(rows.lon, rows.lat, origin), origin
 
 
 def _sample_indices(n: int, k: int, seed) -> np.ndarray:
@@ -184,10 +201,11 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     Cells are independent jobs sharing read-only inputs and disjoint output
     files; they run concurrently up to the APCLUST_THREADS cap, and no more
     at once than the memory cap holds at the largest run's estimate. A failed
-    clustering run aborts the sweep naming the offending cell; failed
-    GeoJSON exports only warn, and the summary is still written. Each cell
-    that did not converge is logged as a warning. Returns the cells in grid
-    order, q-major.
+    clustering run aborts the sweep naming the offending cell: a MemoryError
+    becomes a ResourceLimitError, and an exception outside ApclustError is
+    logged and re-raised unchanged. Failed GeoJSON exports only warn, and
+    the summary is still written. Each cell that did not converge is logged
+    as a warning. Returns the cells in grid order, q-major.
     """
     manifest.validate()
     # One shared planar frame: origin is the centroid of the full dataset.
@@ -250,8 +268,13 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
             )
         except ApclustError as exc:
             raise type(exc)(f"sweep cell q={q:g} sample={k} failed: {exc}") from exc
-        except Exception as exc:
-            raise ApclustError(f"sweep cell q={q:g} sample={k} failed: {exc}") from exc
+        except MemoryError as exc:
+            gb = estimate_apc_memory_gb(k, jitter=manifest.jitter_scale > 0)
+            raise ResourceLimitError(f"sweep cell q={q:g} sample={k} ran out of memory (estimated {gb:.3g} GB)") from exc
+        except Exception:
+            # A bug, not bad input: keep its type and traceback.
+            log.error("sweep cell q=%g sample=%d failed", q, k)
+            raise
 
     qs, ks = zip(*[(q, k) for q in manifest.q_levels for k in sizes])
     # The cap bounds all concurrent runs together, not each one.

@@ -2,10 +2,8 @@
 
 The brute-force optimizer enumerates every non-empty exemplar subset, so it
 is exact and completely independent of the message-passing path; it backs
-the property and acceptance tests. The reference message updates are the
-plain per-equation, full-matrix form of the kernel in core, kept to check
-it bit for bit. The blob generator produces seeded geographic fixtures in
-the same lat/lon schema the pipeline ingests.
+the property and acceptance tests. The blob generator produces seeded
+geographic fixtures in the same lat/lon schema the pipeline ingests.
 """
 
 from __future__ import annotations
@@ -105,47 +103,6 @@ def oracle_assignment(m: SimilarityMatrix, exemplars) -> np.ndarray:
     assignment = cols[np.argmax(m.s[:, cols], axis=1)]
     assignment[cols] = cols
     return assignment
-
-
-def reference_jittered(s: np.ndarray, scale: float, seed: int) -> np.ndarray:
-    """s plus one n x n draw of seeded normal noise, zero on the diagonal."""
-    noise = np.random.default_rng(seed).normal(0.0, scale, size=s.shape)
-    np.fill_diagonal(noise, 0.0)
-    return s + noise
-
-
-def reference_responsibilities(s: np.ndarray, r: np.ndarray, a: np.ndarray, damping: float) -> None:
-    """Full-matrix responsibility sweep: r(i, k) = s(i, k) - max_{k' != k} {a(i, k') + s(i, k')}, damped, in place."""
-    n = s.shape[0]
-    if n == 1:
-        raw = s.copy()
-    else:
-        cand = a + s
-        rows = np.arange(n)
-        top = cand.argmax(axis=1)
-        first = cand[rows, top].copy()
-        cand[rows, top] = -np.inf
-        second = cand.max(axis=1)
-        raw = s - first[:, None]
-        raw[rows, top] = s[rows, top] - second
-    r *= damping
-    raw *= 1.0 - damping
-    r += raw
-
-
-def reference_availabilities(r: np.ndarray, a: np.ndarray, damping: float) -> None:
-    """Full-matrix availability sweep from the column sums of max{0, r}, damped, in place."""
-    raw = np.maximum(r, 0.0)
-    np.fill_diagonal(raw, r.diagonal())
-    col_support = raw.sum(axis=0)
-    # col_support - raw removes each recipient's own contribution from the column sum
-    np.subtract(col_support[None, :], raw, out=raw)
-    self_avail = raw.diagonal().copy()
-    np.minimum(raw, 0.0, out=raw)
-    np.fill_diagonal(raw, self_avail)
-    a *= damping
-    raw *= 1.0 - damping
-    a += raw
 
 
 def generate_blobs(spec: SyntheticSpec) -> list[GeoPoint]:

@@ -25,7 +25,7 @@ from apclust.core import (
     update_responsibilities,
 )
 from apclust.errors import InputError
-from apclust.testkit import reference_availabilities, reference_jittered, reference_responsibilities
+from references import reference_availabilities, reference_jittered, reference_responsibilities
 
 # Collinear points at 0, 1, 3 m give pairwise squared distances 1, 9, 4.
 LINE_XY = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])

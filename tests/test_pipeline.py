@@ -5,16 +5,20 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import logging
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import apclust
 from apclust import pipeline
@@ -32,6 +36,9 @@ from apclust.pipeline import (
 )
 from apclust.testkit import BLOB_FRAME_ORIGIN, SyntheticSpec, generate_blobs, write_points_csv
 from apclust.units import ScaleThresholds, build_units
+from references import reference_ingest, reference_mean
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture
@@ -50,6 +57,30 @@ def intersections_csv(tmp_path):
     path = tmp_path / "intersections.csv"
     write_points_csv(generate_blobs(spec), path)
     return path
+
+
+# Field values a dirty crash file holds: numbers in and out of range, signed
+# zeros, non-finite spellings, padding, quoting and text that does not parse.
+FIELDS = st.one_of(
+    st.floats(min_value=-200.0, max_value=200.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "", "abc", " -30.5 ", '"-51.2"', "-0.0", "1e1", "1_0", "180", "-90", "90.5"]),
+)
+# "latitude" and "lng" do not match, so some headers lack a coordinate column.
+LAT_NAMES = st.sampled_from(["lat", "LAT", " Lat ", "latitude"])
+LON_NAMES = st.sampled_from(["lon", "Lon", " LON", "lng"])
+EXTRA_NAMES = st.lists(st.sampled_from(["id", "x", "", "lat", "Lon"]), max_size=3)
+
+
+@st.composite
+def dirty_csv(draw) -> str:
+    """Header plus rows mixing valid, short, long and blank lines; names may repeat or differ in case."""
+    header = draw(st.permutations([draw(LAT_NAMES), draw(LON_NAMES), *draw(EXTRA_NAMES)]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        width = draw(st.sampled_from([len(header)] * 4 + [0, max(0, len(header) - 1), len(header) + 1]))
+        lines.append(",".join(draw(st.lists(FIELDS, min_size=width, max_size=width))))
+    return eol.join(lines) + eol
 
 
 class TestIngest:
@@ -119,6 +150,51 @@ class TestIngest:
     def test_missing_file_refused(self, tmp_path):
         with pytest.raises(InputError):
             ingest_crashes(tmp_path / "absent.csv")
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dirty_csv())
+    def test_matches_reference_ingest(self, tmp_path, text):
+        path = tmp_path / "fuzzed.csv"
+        path.write_bytes(text.encode())
+        try:
+            points, n_rows, n_dropped = reference_ingest(path)
+        except (FormatError, InputError) as exc:
+            with pytest.raises(type(exc)):
+                ingest_crashes(path)
+            return
+        result = ingest_crashes(path)
+        assert (result.n_rows, result.n_dropped) == (n_rows, n_dropped)
+        assert result.lon.tobytes() == np.array([p.lon for p in points], dtype=np.float64).tobytes()
+        assert result.lat.tobytes() == np.array([p.lat for p in points], dtype=np.float64).tobytes()
+        assert result.points == points
+
+    def test_memory_per_row(self, tmp_path):
+        n = 50_000
+        rng = np.random.default_rng(0)
+        lat, lon = rng.uniform(-30.1, -29.9, n).tolist(), rng.uniform(-51.3, -51.1, n).tolist()
+        path = tmp_path / "big.csv"
+        path.write_text("lat,lon\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(lat, lon)))
+        tracemalloc.start()
+        try:
+            result = ingest_crashes(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.n_rows == n and result.n_dropped == 0
+        assert peak / n < 64, f"{peak / n:.1f} bytes per row"
+
+    def test_origin_is_left_to_right_mean_across_reruns(self, tmp_path):
+        # Criterion 7's corpus: the frame origin, and so every output byte, must
+        # not depend on how the Python in use sums floats.
+        spec = SyntheticSpec(n_blobs=4, points_per_blob=25, blob_sigma_m=40.0, min_separation_m=1500.0, seed=31)
+        origins = []
+        for run in ("a", "b"):
+            path = tmp_path / f"crashes-{run}.csv"
+            write_points_csv(generate_blobs(spec), path)
+            origins.append(pipeline._ingest_xy(path)[1])
+        points = ingest_crashes(path).points
+        lon, lat = reference_mean([p.lon for p in points]), reference_mean([p.lat for p in points])
+        assert [(o.lon.hex(), o.lat.hex()) for o in origins] == [(lon.hex(), lat.hex())] * 2
 
 
 class TestSampling:
@@ -510,6 +586,25 @@ class TestCli:
         code = main(["cluster", "--input", str(crash_csv), "--q", "0.5", "--mem-cap-gb", "1e-6"])
         assert code == 3
 
+    def test_out_of_memory_in_cell_exit_3(self, crash_csv, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(pipeline, "run_apc", out_of_memory)
+        code = main(["cluster", "--input", str(crash_csv), "--q", "0.5", "--sample", "30"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: sweep cell q=0.5 sample=30 ran out of memory (estimated " in err
+
+    def test_bug_in_cell_propagates_with_cell_logged(self, crash_csv, monkeypatch, caplog):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(pipeline, "run_apc", broken)
+        with pytest.raises(ZeroDivisionError):
+            main(["cluster", "--input", str(crash_csv), "--q", "0.5", "--sample", "30"])
+        assert ("apclust", logging.ERROR, "sweep cell q=0.5 sample=30 failed") in caplog.record_tuples
+
     def test_convergence_exit_4(self, crash_csv, capsys, caplog):
         code = main(
             [
@@ -553,6 +648,36 @@ class TestCli:
         assert sorted(p.name for p in (tmp_path / "cluster").iterdir()) == names
         for name in names:
             assert (tmp_path / "cluster" / name).read_bytes() == (tmp_path / "sweep" / name).read_bytes(), name
+
+
+def test_traced_bench_call_reports_every_layer_metric(crash_csv, intersections_csv, tmp_path, monkeypatch):
+    # The benchmark's traced child on a small cluster run: a metric that reads
+    # None or NaN (a wrapped function the program stopped calling) makes the
+    # bench's result line malformed.
+    result = tmp_path / "result.json"
+    args = [
+        "cluster",
+        "--input", str(crash_csv),
+        "--intersections", str(intersections_csv),
+        "--q", "0.5",
+        "--out", str(tmp_path / "out"),
+    ]
+    src = str(Path(apclust.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), src, str(result), "traced", "--", *args],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(result.read_text())
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import LAYER_METRICS, layer_metrics
+
+    metrics = layer_metrics(record["trace"])
+    assert sorted(metrics) == sorted(LAYER_METRICS)
+    bad = {k: v for k, v in metrics.items() if not isinstance(v, (int, float)) or not math.isfinite(v)}
+    assert bad == {}
 
 
 @pytest.fixture
