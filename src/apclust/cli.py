@@ -44,18 +44,30 @@ def _parse_thresholds(raw: str) -> ScaleThresholds | str:
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, type=Path, help="crash points CSV with lat,lon header")
-    p.add_argument("--seed", type=int, default=0, help="sampling and tie-break seed")
+    p.add_argument("--seed", type=int, default=RunManifest.rng_seed, help="sampling and tie-break seed")
     p.add_argument("--intersections", type=Path, default=None, help="intersection points CSV")
     p.add_argument("--thresholds", type=str, default=None, help="'derive' or '<micro_max>,<meso_max>'")
-    p.add_argument("--damping", type=float, default=0.9, help="message damping factor in [0.5, 1)")
-    p.add_argument("--max-iter", type=int, default=1000, help="iteration budget")
-    p.add_argument("--window", type=int, default=100, help="iterations of unchanged exemplars to converge")
-    p.add_argument("--jitter-scale", type=float, default=0.0, help="similarity noise scale for tie breaking")
-    p.add_argument("--buffer-m", type=float, default=15.0, help="half-width for degenerate cluster buffering")
+    p.add_argument("--damping", type=float, default=RunManifest.damping, help="message damping factor in [0.5, 1)")
+    p.add_argument("--max-iter", type=int, default=RunManifest.max_iterations, help="iteration budget")
+    p.add_argument(
+        "--window",
+        type=int,
+        default=RunManifest.convergence_window,
+        help="iterations of unchanged exemplars to converge",
+    )
+    p.add_argument(
+        "--jitter-scale",
+        type=float,
+        default=RunManifest.jitter_scale,
+        help="standard deviation in m^2 of similarity noise for tie breaking",
+    )
+    p.add_argument(
+        "--buffer-m", type=float, default=RunManifest.buffer_m, help="half-width for degenerate cluster buffering"
+    )
     p.add_argument(
         "--mem-cap-gb",
         type=float,
-        default=8.0,
+        default=RunManifest.mem_cap_gb,
         help="refuse above this estimated footprint and warn above a quarter of it; "
         "a sweep runs no more cells at once than it holds",
     )
@@ -135,8 +147,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_derive_threshold(args: argparse.Namespace) -> int:
     xy, _ = _ingest_xy(args.intersections)
-    bounds = (*xy.min(axis=0), *xy.max(axis=0))
-    print(derive_meso_threshold(bounds, xy, cell_km=args.cell_km))
+    print(derive_meso_threshold(xy, cell_km=args.cell_km))
     return 0
 
 

@@ -245,11 +245,17 @@ def update_availabilities(
     Off-diagonal: a(i, k) = min{0, r(k, k) + sum over i' not in {i, k} of
     max{0, r(i', k)}}, so availabilities never exceed zero. Diagonal:
     a(k, k) = sum over i' != k of max{0, r(i', k)}, a sum of non-negative
-    support terms. Both are support[k] minus row i's own term. Damped blend
-    as in update_responsibilities, in place, one row block at a time.
+    support terms. Both are support[k] minus row i's own term, in two passes
+    per block: min{support[k] - r(i, k), min{support[k], 0}} off the
+    diagonal, which equals min{0, support[k] - max{0, r(i, k)}}, then
+    support[k] - r(k, k) on it. min{support, 0} is computed once per sweep
+    into the last row of tmp, which no block uses. Damped blend as in
+    update_responsibilities, in place, one row block at a time.
     """
     n = r.shape[0]
     block = tmp.shape[0] - 1
+    capped = tmp[block]
+    np.minimum(support, 0.0, out=capped)
     for start in range(0, n, block):
         stop = min(start + block, n)
         rows = np.arange(stop - start)
@@ -257,12 +263,9 @@ def update_availabilities(
         r_blk = r[start:stop]
         a_blk = a[start:stop]
         raw = tmp[: stop - start]
-        np.maximum(r_blk, 0.0, out=raw)
-        raw[rows, diag] = r_blk[rows, diag]
-        np.subtract(support, raw, out=raw)
-        self_avail = raw[rows, diag]
-        np.minimum(raw, 0.0, out=raw)
-        raw[rows, diag] = self_avail
+        np.subtract(support, r_blk, out=raw)
+        np.minimum(raw, capped, out=raw)
+        raw[rows, diag] = support[diag] - r_blk[rows, diag]
         a_blk *= damping
         raw *= 1.0 - damping
         a_blk += raw
@@ -307,11 +310,7 @@ def net_similarity(m: SimilarityMatrix, exemplars: np.ndarray, assignment: np.nd
     return value
 
 
-def run_apc_on_matrix(
-    m: SimilarityMatrix,
-    config: ApcConfig,
-    check_invariants: bool = False,
-) -> ClusterResult:
+def run_apc_on_matrix(m: SimilarityMatrix, config: ApcConfig) -> ClusterResult:
     """Iterate message passing on a prepared similarity matrix until the exemplar decisions stabilize.
 
     Stops once the decision vector (which points satisfy a(k, k) + r(k, k) > 0)
@@ -319,12 +318,11 @@ def run_apc_on_matrix(
     config.max_iterations; the converged flag records which condition fired.
     When jitter is enabled, seeded noise is added to the off-diagonal entries
     of a working copy; exemplar refinement and net similarity always use the
-    caller's clean matrix. check_invariants asserts the availability sign and
-    finiteness invariants every iteration (test builds).
+    caller's clean matrix.
     """
     if not m.preference_applied:
         raise ValueError("apply a preference before running")
-    criterion, converged, iterations = _pass_messages(m.s, config, check_invariants)
+    criterion, converged, iterations = _pass_messages(m.s, config)
     exemplars, assignment = decide_exemplars(m, criterion)
     return ClusterResult(
         exemplars=[int(e) for e in exemplars],
@@ -335,7 +333,7 @@ def run_apc_on_matrix(
     )
 
 
-def _pass_messages(s: np.ndarray, config: ApcConfig, check_invariants: bool) -> tuple[np.ndarray, bool, int]:
+def _pass_messages(s: np.ndarray, config: ApcConfig) -> tuple[np.ndarray, bool, int]:
     """The iteration loop: returns a(k, k) + r(k, k), whether it converged, and the iteration count.
 
     The kernel holds S, R and A (plus the jittered copy of S), the column
@@ -348,7 +346,6 @@ def _pass_messages(s: np.ndarray, config: ApcConfig, check_invariants: bool) -> 
         s = _jittered(s, config.jitter_scale, config.rng_seed, tmp)
     r = np.zeros((n, n))
     a = np.zeros((n, n))
-    off = ~np.eye(n, dtype=bool) if check_invariants else None
     previous = None
     stable = 0
     converged = False
@@ -357,10 +354,6 @@ def _pass_messages(s: np.ndarray, config: ApcConfig, check_invariants: bool) -> 
         update_responsibilities(s, r, a, config.damping, support, tmp)
         update_availabilities(r, a, config.damping, support, tmp)
         iterations = iteration
-        if check_invariants:
-            assert np.all(a[off] <= 0.0), "off-diagonal availability above zero"
-            assert np.all(a.diagonal() >= 0.0), "negative self-availability"
-            assert np.isfinite(r).all() and np.isfinite(a).all()
         decisions = (a.diagonal() + r.diagonal()) > 0
         if previous is not None and np.array_equal(decisions, previous):
             stable += 1
@@ -398,11 +391,11 @@ def _jittered(s: np.ndarray, scale: float, seed: int, tmp: np.ndarray) -> np.nda
     return work
 
 
-def run_apc(points, config: ApcConfig, check_invariants: bool = False) -> ClusterResult:
+def run_apc(points, config: ApcConfig) -> ClusterResult:
     """Cluster planar points end to end: similarities, quantile preference, message passing.
 
     Deterministic given the point order, the config, and its seed.
     """
     m = build_similarity(points)
     apply_preference(m, config.q)
-    return run_apc_on_matrix(m, config, check_invariants=check_invariants)
+    return run_apc_on_matrix(m, config)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import ApcConfig, _block_rows, run_apc
 from .errors import ApclustError, ConvergenceError, FormatError, InputError, ResourceLimitError
-from .geo import GeoPoint, lonlat_centroid, project_lonlat, unproject, valid_lonlat
+from .geo import DEFAULT_BUFFER_M, GeoPoint, lonlat_centroid, project_lonlat, unproject, valid_lonlat
 from .units import ScaleThresholds, SweepCell, UnitOfAnalysis, build_units, derive_meso_threshold
 
 log = logging.getLogger("apclust")
@@ -53,11 +53,11 @@ class RunManifest:
     input_intersections: Path | None = None
     rng_seed: int = 0
     thresholds: ScaleThresholds | str = field(default_factory=ScaleThresholds)
-    damping: float = 0.9
-    max_iterations: int = 1000
-    convergence_window: int = 100
-    jitter_scale: float = 0.0
-    buffer_m: float = 15.0
+    damping: float = ApcConfig.damping
+    max_iterations: int = ApcConfig.max_iterations
+    convergence_window: int = ApcConfig.convergence_window
+    jitter_scale: float = ApcConfig.jitter_scale
+    buffer_m: float = DEFAULT_BUFFER_M
     mem_cap_gb: float = 8.0
     require_convergence: bool = False
 
@@ -203,8 +203,8 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     at once than the memory cap holds at the largest run's estimate. A failed
     clustering run aborts the sweep naming the offending cell: a MemoryError
     becomes a ResourceLimitError, and an exception outside ApclustError is
-    logged and re-raised unchanged. Failed GeoJSON exports only warn, and
-    the summary is still written. Each cell that did not converge is logged
+    logged and re-raised unchanged. A failed GeoJSON export aborts the sweep
+    before the summary is written. Each cell that did not converge is logged
     as a warning. Returns the cells in grid order, q-major.
     """
     manifest.validate()
@@ -236,8 +236,7 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
 
     thresholds = manifest.thresholds
     if thresholds == "derive":
-        bounds = (*inter_xy.min(axis=0), *inter_xy.max(axis=0))
-        meso_max = derive_meso_threshold(bounds, inter_xy, cell_km=1.0)
+        meso_max = derive_meso_threshold(inter_xy, cell_km=1.0)
         thresholds = ScaleThresholds(meso_max=meso_max)
         log.info("derived meso threshold: %d intersections", meso_max)
 
@@ -295,11 +294,7 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     if manifest.output_dir is not None:
         out_dir = Path(manifest.output_dir)
         for q, k, (units, _) in zip(qs, ks, outcomes):
-            geojson_path = out_dir / f"clusters_q{q:g}_s{k}.geojson"
-            try:
-                export_geojson(units, origin, geojson_path)
-            except Exception as exc:
-                log.warning("GeoJSON export failed for %s: %s", geojson_path, exc)
+            export_geojson(units, origin, out_dir / f"clusters_q{q:g}_s{k}.geojson")
         export_summary(cells, out_dir / "summary.csv")
 
     stalled = [cell for cell in cells if not cell.converged]

@@ -106,14 +106,14 @@ def count_intersections(ua_polygons: list[ClusterPolygon], intersections) -> lis
     return counts
 
 
-def derive_meso_threshold(study_area_bounds, intersections, cell_km: float = 1.0) -> int:
+def derive_meso_threshold(intersections, cell_km: float = 1.0) -> int:
     """Median intersections per occupied grid cell, rounded half-up.
 
-    The bounds rectangle (xmin, ymin, xmax, ymax, meters) is tiled into
-    cell_km x cell_km cells and intersection points are counted per cell.
-    Cells containing no intersection are excluded from the median; a city
-    bounding box includes water and rural cells that would otherwise drag
-    the value toward zero.
+    The inventory's bounding box (planar meters) is tiled into cell_km x
+    cell_km cells from its lower-left corner and intersection points are
+    counted per cell. Cells containing no intersection are excluded from the
+    median; a city bounding box includes water and rural cells that would
+    otherwise drag the value toward zero.
     """
     if cell_km <= 0:
         raise InputError("cell_km must be positive")
@@ -122,14 +122,7 @@ def derive_meso_threshold(study_area_bounds, intersections, cell_km: float = 1.0
         raise DerivationError(
             "no intersections supplied; set the meso threshold manually"
         )
-    xmin, ymin, xmax, ymax = (float(v) for v in study_area_bounds)
-    if (
-        xy[:, 0].min() < xmin
-        or xy[:, 0].max() > xmax
-        or xy[:, 1].min() < ymin
-        or xy[:, 1].max() > ymax
-    ):
-        raise InputError("study area bounds do not cover all intersections")
+    xmin, ymin = xy.min(axis=0)
     cell_m = cell_km * 1000.0
     ix = np.floor((xy[:, 0] - xmin) / cell_m).astype(np.int64)
     iy = np.floor((xy[:, 1] - ymin) / cell_m).astype(np.int64)

@@ -119,6 +119,14 @@ def zero_messages(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return (np.zeros((n, n)), np.zeros((n, n))) + message_workspace(n)
 
 
+@st.composite
+def grid_points(draw, max_n=30):
+    """Points on a coarse integer grid, so duplicates and tied similarities are common."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    coords = st.tuples(st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
+    return np.array(draw(st.lists(coords, min_size=n, max_size=n)), dtype=np.float64)
+
+
 class TestMessageUpdates:
     def test_responsibility_sweep_from_zero(self):
         # With zero availabilities and no damping, r(i,k) = s(i,k) minus the
@@ -159,10 +167,28 @@ class TestMessageUpdates:
         update_responsibilities(np.array([[-10.0]]), r, a, 0.9, support, tmp)
         assert r[0, 0] == pytest.approx(-1.0)
 
-    def test_off_diagonal_availability_never_positive(self):
-        rng = np.random.default_rng(3)
-        xy = rng.uniform(0, 100, size=(12, 2))
-        run_apc(xy, ApcConfig(q=0.5), check_invariants=True)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid_points(),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([0.5, 0.7, 0.9]),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_off_diagonal_availability_never_positive(self, xy, q, damping, block):
+        # After every iteration: a(i, k) <= 0 off the diagonal, a(k, k) >= 0
+        # on it, and every message finite.
+        n = len(xy)
+        m = build_similarity(xy)
+        apply_preference(m, q)
+        r, a = np.zeros((n, n)), np.zeros((n, n))
+        support, tmp = np.zeros(n), np.empty((block + 1, n))
+        off = ~np.eye(n, dtype=bool)
+        for _ in range(50):
+            update_responsibilities(m.s, r, a, damping, support, tmp)
+            update_availabilities(r, a, damping, support, tmp)
+            assert np.all(a[off] <= 0.0), "off-diagonal availability above zero"
+            assert np.all(a.diagonal() >= 0.0), "negative self-availability"
+            assert np.isfinite(r).all() and np.isfinite(a).all()
 
 
 class TestDecisionsAndObjective:
@@ -276,14 +302,6 @@ class TestProperties:
         low = run_apc(xy, ApcConfig(q=0.0, max_iterations=300, convergence_window=30))
         high = run_apc(xy, ApcConfig(q=1.0, max_iterations=300, convergence_window=30))
         assert low.n_clusters <= high.n_clusters or len(np.unique(xy, axis=0)) < len(xy)
-
-
-@st.composite
-def grid_points(draw, max_n=30):
-    """Points on a coarse integer grid, so duplicates and tied similarities are common."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    coords = st.tuples(st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
-    return np.array(draw(st.lists(coords, min_size=n, max_size=n)), dtype=np.float64)
 
 
 def assert_bitwise_equal(x: np.ndarray, y: np.ndarray) -> None:

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import apclust
-from apclust import pipeline
+from apclust import cli, pipeline
 from apclust.cli import build_parser, main
 from apclust.core import ApcConfig, run_apc
 from apclust.errors import ConvergenceError, FormatError, InputError, ResourceLimitError
@@ -511,6 +511,23 @@ class TestCli:
         assert calls == []
         assert "error:" in capsys.readouterr().err
 
+    def test_failed_export_exit_2(self, crash_csv, tmp_path, capsys):
+        # A directory where the cell's GeoJSON goes makes its export fail;
+        # the run stops there, before the summary is written.
+        out = tmp_path / "out"
+        (out / "clusters_q0.5_s30.geojson").mkdir(parents=True)
+        code = main(["cluster", "--input", str(crash_csv), "--q", "0.5", "--sample", "30", "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["clusters_q0.5_s30.geojson"]
+
+    def test_run_defaults_are_the_manifest_defaults(self, crash_csv, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "run_sweep", lambda manifest: built.append(manifest) or [])
+        out = tmp_path / "out"
+        assert main(["sweep", "--input", str(crash_csv), "--q", "0.5", "--samples", "30", "--out", str(out)]) == 0
+        assert built == [RunManifest(input_crashes=crash_csv, q_levels=[0.5], sample_sizes=[30], output_dir=out)]
+
     def test_option_sets(self):
         # Adding or dropping a knob must edit this list on purpose.
         run_options = [
@@ -650,24 +667,32 @@ class TestCli:
             assert (tmp_path / "cluster" / name).read_bytes() == (tmp_path / "sweep" / name).read_bytes(), name
 
 
-def test_traced_bench_call_reports_every_layer_metric(crash_csv, intersections_csv, tmp_path, monkeypatch):
-    # The benchmark's traced child on a small cluster run: a metric that reads
-    # None or NaN (a wrapped function the program stopped calling) makes the
-    # bench's result line malformed.
+@pytest.mark.parametrize(
+    "grid, threads",
+    [
+        (["cluster", "--q", "0.5"], "1"),
+        (
+            ["sweep", "--q", "0.1,0.9", "--samples", "30,60", "--thresholds", "derive", "--jitter-scale", "1e-6"],
+            "2",
+        ),
+    ],
+    ids=["cluster", "sweep"],
+)
+def test_traced_bench_call_reports_every_layer_metric(grid, threads, crash_csv, intersections_csv, tmp_path, monkeypatch):
+    # The benchmark's traced child on the shapes of its workloads: a small
+    # cluster run, and a sweep that derives its thresholds, adds jitter and
+    # runs cells in a thread pool. A metric that reads None or NaN (a wrapped
+    # function the program stopped calling) makes the bench's result line
+    # malformed.
     result = tmp_path / "result.json"
-    args = [
-        "cluster",
-        "--input", str(crash_csv),
-        "--intersections", str(intersections_csv),
-        "--q", "0.5",
-        "--out", str(tmp_path / "out"),
-    ]
+    args = [*grid, "--input", str(crash_csv), "--intersections", str(intersections_csv), "--out", str(tmp_path / "out")]
     src = str(Path(apclust.__file__).parent.parent)
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "child.py"), src, str(result), "traced", "--", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=dict(os.environ, APCLUST_THREADS=threads),
     )
     assert proc.returncode == 0, proc.stderr
     record = json.loads(result.read_text())

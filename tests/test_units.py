@@ -80,32 +80,29 @@ class TestDeriveThreshold:
         pts += [[100.0 + i, 100.0] for i in range(2)]
         pts += [[1100.0 + i, 100.0] for i in range(4)]
         pts += [[2100.0 + i, 100.0] for i in range(10)]
-        bounds = (0.0, 0.0, 3000.0, 1000.0)
-        assert derive_meso_threshold(bounds, np.array(pts)) == 4
+        assert derive_meso_threshold(np.array(pts)) == 4
 
     def test_half_up_rounding(self):
         # Occupied cells with 1 and 2 points: median 1.5 rounds to 2.
         pts = np.array([[100.0, 100.0], [1100.0, 100.0], [1110.0, 100.0]])
-        assert derive_meso_threshold((0.0, 0.0, 2000.0, 1000.0), pts) == 2
+        assert derive_meso_threshold(pts) == 2
 
     def test_empty_cells_excluded(self):
-        # One crowded cell in a huge bounding box: empty cells must not
-        # drag the median down.
+        # One crowded cell: empty cells must not drag the median down.
         pts = np.array([[50.0 + i, 50.0] for i in range(7)])
-        assert derive_meso_threshold((0.0, 0.0, 50_000.0, 50_000.0), pts) == 7
+        assert derive_meso_threshold(pts) == 7
+        # A lone point 50 km away spans a box of about 2,500 cells, two of
+        # them occupied (7 and 1 points): the median of those two is 4.
+        far = np.vstack([pts, [[50_050.0, 50_050.0]]])
+        assert derive_meso_threshold(far) == 4
 
     def test_no_intersections_refused(self):
         with pytest.raises(DerivationError):
-            derive_meso_threshold((0.0, 0.0, 1000.0, 1000.0), np.empty((0, 2)))
-
-    def test_bounds_must_cover(self):
-        pts = np.array([[5000.0, 100.0]])
-        with pytest.raises(InputError):
-            derive_meso_threshold((0.0, 0.0, 1000.0, 1000.0), pts)
+            derive_meso_threshold(np.empty((0, 2)))
 
     def test_cell_size_positive(self):
         with pytest.raises(InputError):
-            derive_meso_threshold((0.0, 0.0, 1000.0, 1000.0), np.array([[1.0, 1.0]]), cell_km=0.0)
+            derive_meso_threshold(np.array([[1.0, 1.0]]), cell_km=0.0)
 
 
 def two_blob_points() -> np.ndarray:
