@@ -25,6 +25,7 @@ coordination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +97,8 @@ class ApcConfig:
             raise InputError("convergence_window must be positive")
         if self.convergence_window >= self.max_iterations:
             raise InputError("convergence_window must be smaller than max_iterations")
-        if self.jitter_scale < 0:
-            raise InputError("jitter_scale must be non-negative")
+        if not 0 <= self.jitter_scale < math.inf:
+            raise InputError(f"jitter_scale must be non-negative and finite, got {self.jitter_scale}")
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,16 @@
 The projection is a local equirectangular mapping around an origin (usually
 the dataset centroid): adequate at city scale (< 50 km extent, error below
 0.1%) and exactly invertible. All polygon operations work on the planar
-frame; areas are reported in km².
+frame; areas are reported in km². A PlanarPoint is an (x, y) pair, so
+point lists and (n, 2) arrays convert into each other directly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +38,7 @@ class GeoPoint:
             raise InputError(f"coordinate ({self.lon}, {self.lat}) outside lon [-180, 180], lat [-90, 90]")
 
 
-@dataclass(frozen=True)
-class PlanarPoint:
+class PlanarPoint(NamedTuple):
     """Meters east (x) and north (y) of the projection origin."""
 
     x: float
@@ -45,10 +47,14 @@ class PlanarPoint:
 
 @dataclass
 class ClusterPolygon:
-    """A simple, closed, counter-clockwise ring around one cluster."""
+    """A simple, closed, counter-clockwise ring around one cluster, as an (m + 1, 2) planar array."""
 
-    ring: list[PlanarPoint]
-    area_km2: float
+    ring: np.ndarray
+
+    @property
+    def area_km2(self) -> float:
+        """Shoelace area of the ring in km², non-negative regardless of orientation."""
+        return abs(_ring_signed_area_m2(self.ring[:-1])) / 1e6
 
 
 def valid_lonlat(lon, lat):
@@ -121,13 +127,8 @@ def unproject(points, origin: GeoPoint) -> list[GeoPoint]:
 
 
 def planar_to_array(points) -> np.ndarray:
-    """(n, 2) float array from PlanarPoints, tuples, or an existing array."""
-    if isinstance(points, np.ndarray):
-        return np.asarray(points, dtype=np.float64)
-    seq = list(points)
-    if seq and isinstance(seq[0], PlanarPoint):
-        return np.array([[p.x, p.y] for p in seq], dtype=np.float64)
-    return np.asarray(seq, dtype=np.float64)
+    """(n, 2) float array from PlanarPoints, (x, y) pairs, or an existing array."""
+    return np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=np.float64)
 
 
 def _ring_signed_area_m2(xy: np.ndarray) -> float:
@@ -143,7 +144,7 @@ def _convex_hull(xy: np.ndarray) -> np.ndarray:
     Degenerate inputs (all points collinear or coincident) collapse to
     fewer than 3 vertices.
     """
-    pts = sorted({(float(p[0]), float(p[1])) for p in xy})
+    pts = sorted(set(map(tuple, xy.tolist())))
     if len(pts) <= 2:
         return np.array(pts, dtype=np.float64).reshape(-1, 2)
 
@@ -180,26 +181,19 @@ def polygonize(members, buffer_m: float = DEFAULT_BUFFER_M) -> ClusterPolygon:
         offsets = np.array([[-b, -b], [b, -b], [b, b], [-b, b]])
         corners = (xy[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
         hull = _convex_hull(corners)
-    area_m2 = _ring_signed_area_m2(hull)
-    ring = [PlanarPoint(x=float(p[0]), y=float(p[1])) for p in hull]
-    ring.append(ring[0])
-    return ClusterPolygon(ring=ring, area_km2=area_m2 / 1e6)
+    return ClusterPolygon(ring=np.vstack([hull, hull[:1]]))
 
 
 def polygon_area_km2(p: ClusterPolygon) -> float:
-    """Shoelace area of the ring in km², non-negative regardless of orientation."""
-    xy = planar_to_array(p.ring[:-1])
-    return abs(_ring_signed_area_m2(xy)) / 1e6
+    """The polygon's area in km² (see ClusterPolygon.area_km2)."""
+    return p.area_km2
 
 
-def contains(p: ClusterPolygon, pt: PlanarPoint) -> bool:
-    """Ray-casting point-in-polygon test; boundary points count as inside."""
-    x, y = pt.x, pt.y
-    ring = p.ring
+def contains(p: ClusterPolygon, pt) -> bool:
+    """Ray-casting point-in-polygon test on an (x, y) pair; boundary points count as inside."""
+    x, y = pt
     inside = False
-    for i in range(len(ring) - 1):
-        x1, y1 = ring[i].x, ring[i].y
-        x2, y2 = ring[i + 1].x, ring[i + 1].y
+    for (x1, y1), (x2, y2) in itertools.pairwise(p.ring.tolist()):
         if _on_segment(x, y, x1, y1, x2, y2):
             return True
         if (y1 > y) != (y2 > y):

@@ -13,11 +13,12 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import uuid
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,8 @@ class RunManifest:
     mem_cap_gb: float = 8.0
     require_convergence: bool = False
 
-    def validate(self) -> None:
+    def validate(self) -> ApcConfig:
+        """Check every setting that needs no input data; return the ApcConfig all cells share."""
         if not self.q_levels:
             raise InputError("q_levels must be non-empty")
         for q in self.q_levels:
@@ -79,6 +81,15 @@ class RunManifest:
             raise InputError(f"thresholds must be explicit or 'derive', got {self.thresholds!r}")
         if self.thresholds == "derive" and self.input_intersections is None:
             raise InputError("thresholds='derive' requires an intersections input")
+        for name, value in (("buffer_m", self.buffer_m), ("mem_cap_gb", self.mem_cap_gb)):
+            if not 0 < value < math.inf:
+                raise InputError(f"{name} must be positive and finite, got {value}")
+        return ApcConfig(
+            damping=self.damping,
+            max_iterations=self.max_iterations,
+            convergence_window=self.convergence_window,
+            jitter_scale=self.jitter_scale,
+        )
 
 
 @dataclass
@@ -207,7 +218,7 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     before the summary is written. Each cell that did not converge is logged
     as a warning. Returns the cells in grid order, q-major.
     """
-    manifest.validate()
+    base = manifest.validate()
     # One shared planar frame: origin is the centroid of the full dataset.
     xy_all, origin = _ingest_xy(manifest.input_crashes)
     n_total = xy_all.shape[0]
@@ -247,14 +258,7 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
 
     def run_cell(q: float, k: int) -> tuple[list[UnitOfAnalysis], SweepCell]:
         try:
-            config = ApcConfig(
-                q=q,
-                damping=manifest.damping,
-                max_iterations=manifest.max_iterations,
-                convergence_window=manifest.convergence_window,
-                jitter_scale=manifest.jitter_scale,
-                rng_seed=_cell_seed(manifest.rng_seed, k, q),
-            )
+            config = replace(base, q=q, rng_seed=_cell_seed(manifest.rng_seed, k, q))
             result = run_apc(samples[k], config)
             return build_units(
                 result,

@@ -20,7 +20,6 @@ from .errors import DerivationError, InputError
 from .geo import (
     DEFAULT_BUFFER_M,
     ClusterPolygon,
-    PlanarPoint,
     contains,
     planar_to_array,
     polygonize,
@@ -89,20 +88,17 @@ def count_intersections(ua_polygons: list[ClusterPolygon], intersections) -> lis
         return [0] * len(ua_polygons)
     counts = []
     for poly in ua_polygons:
-        ring = planar_to_array(poly.ring)
-        xmin, ymin = ring.min(axis=0)
-        xmax, ymax = ring.max(axis=0)
+        xmin, ymin = poly.ring.min(axis=0)
+        xmax, ymax = poly.ring.max(axis=0)
         near = (
             (xy[:, 0] >= xmin - 1.0)
             & (xy[:, 0] <= xmax + 1.0)
             & (xy[:, 1] >= ymin - 1.0)
             & (xy[:, 1] <= ymax + 1.0)
         )
-        c = 0
-        for x, y in xy[near]:
-            if contains(poly, PlanarPoint(x=float(x), y=float(y))):
-                c += 1
-        counts.append(c)
+        # Pairs read lazily: a list of all candidates would cost about 120 bytes each.
+        flat = iter(memoryview(xy[near].reshape(-1)))
+        counts.append(sum(contains(poly, pt) for pt in zip(flat, flat)))
     return counts
 
 
@@ -115,8 +111,8 @@ def derive_meso_threshold(intersections, cell_km: float = 1.0) -> int:
     median; a city bounding box includes water and rural cells that would
     otherwise drag the value toward zero.
     """
-    if cell_km <= 0:
-        raise InputError("cell_km must be positive")
+    if not 0 < cell_km < math.inf:
+        raise InputError(f"cell_km must be positive and finite, got {cell_km}")
     xy = planar_to_array(intersections)
     if xy.size == 0:
         raise DerivationError(

@@ -2,20 +2,31 @@
 
 Each is the straightforward form of something the package does faster:
 the full-matrix, per-equation message updates of the blocked kernel in
-core; one GeoPoint per CSV row for ingest; and a per-point loop for the
-centroid and the projection. The package must match them bit for bit.
+core; one GeoPoint per CSV row for ingest; a per-point loop for the
+centroid and the projection; and cluster polygons kept as a list of
+PlanarPoints with a stored area, counted one PlanarPoint at a time. The
+package must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from apclust.errors import FormatError, InputError
-from apclust.geo import EARTH_RADIUS_M, MAX_SUPPORTED_LAT_DEG, GeoPoint, PlanarPoint
+from apclust.geo import (
+    DEFAULT_BUFFER_M,
+    EARTH_RADIUS_M,
+    MAX_SUPPORTED_LAT_DEG,
+    GeoPoint,
+    PlanarPoint,
+    _on_segment,
+    _ring_signed_area_m2,
+)
 
 
 def reference_jittered(s: np.ndarray, scale: float, seed: int) -> np.ndarray:
@@ -106,3 +117,85 @@ def reference_project(points: list[GeoPoint], origin: GeoPoint) -> list[PlanarPo
         y = EARTH_RADIUS_M * math.radians(p.lat - origin.lat)
         out.append(PlanarPoint(x=x, y=y))
     return out
+
+
+@dataclass
+class ReferencePolygon:
+    """A closed counter-clockwise ring of PlanarPoints and the area stored beside it."""
+
+    ring: list[PlanarPoint]
+    area_km2: float
+
+
+def reference_convex_hull(xy: np.ndarray) -> np.ndarray:
+    """Monotone-chain convex hull over numpy rows, counter-clockwise, collinear points dropped."""
+    pts = sorted({(float(p[0]), float(p[1])) for p in xy})
+    if len(pts) <= 2:
+        return np.array(pts, dtype=np.float64).reshape(-1, 2)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list[tuple[float, float]] = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[tuple[float, float]] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1], dtype=np.float64)
+
+
+def reference_polygonize(xy: np.ndarray, buffer_m: float = DEFAULT_BUFFER_M) -> ReferencePolygon:
+    """Hull of the members, buffered into squares when it encloses no area, as a PlanarPoint ring."""
+    hull = reference_convex_hull(xy)
+    if hull.shape[0] < 3 or _ring_signed_area_m2(hull) <= 0.0:
+        b = float(buffer_m)
+        offsets = np.array([[-b, -b], [b, -b], [b, b], [-b, b]])
+        corners = (xy[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
+        hull = reference_convex_hull(corners)
+    area_m2 = _ring_signed_area_m2(hull)
+    ring = [PlanarPoint(x=float(p[0]), y=float(p[1])) for p in hull]
+    ring.append(ring[0])
+    return ReferencePolygon(ring=ring, area_km2=area_m2 / 1e6)
+
+
+def reference_contains(p: ReferencePolygon, pt: PlanarPoint) -> bool:
+    """Ray casting over the PlanarPoint ring, boundary-inclusive."""
+    x, y = pt.x, pt.y
+    ring = p.ring
+    inside = False
+    for i in range(len(ring) - 1):
+        x1, y1 = ring[i].x, ring[i].y
+        x2, y2 = ring[i + 1].x, ring[i + 1].y
+        if _on_segment(x, y, x1, y1, x2, y2):
+            return True
+        if (y1 > y) != (y2 > y):
+            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < x_cross:
+                inside = not inside
+    return inside
+
+
+def reference_count_intersections(polygons: list[ReferencePolygon], xy: np.ndarray) -> list[int]:
+    """Points inside each polygon: a bounding-box filter, then one PlanarPoint per candidate."""
+    counts = []
+    for poly in polygons:
+        ring = np.array([[p.x, p.y] for p in poly.ring], dtype=np.float64)
+        xmin, ymin = ring.min(axis=0)
+        xmax, ymax = ring.max(axis=0)
+        near = (
+            (xy[:, 0] >= xmin - 1.0)
+            & (xy[:, 0] <= xmax + 1.0)
+            & (xy[:, 1] >= ymin - 1.0)
+            & (xy[:, 1] <= ymax + 1.0)
+        )
+        c = 0
+        for x, y in xy[near]:
+            if reference_contains(poly, PlanarPoint(x=float(x), y=float(y))):
+                c += 1
+        counts.append(c)
+    return counts

@@ -496,6 +496,40 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_run_parameter_exit_2_before_any_cell(self, crash_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep", "--input", str(crash_csv), "--q", "0.5", "--samples", "10", "--damping", "0.3"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: damping must be in [0.5, 1), got 0.3" in err
+        assert "cell" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--mem-cap-gb", "nan"),
+            ("--mem-cap-gb", "inf"),
+            ("--mem-cap-gb", "0"),
+            ("--jitter-scale", "nan"),
+            ("--jitter-scale", "inf"),
+            ("--buffer-m", "0"),
+            ("--buffer-m", "nan"),
+            ("--buffer-m", "inf"),
+            ("--cell-km", "nan"),
+            ("--cell-km", "inf"),
+        ],
+    )
+    def test_non_finite_or_zero_option_exit_2(self, option, value, crash_csv, intersections_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        if option == "--cell-km":
+            argv = ["derive-threshold", "--intersections", str(intersections_csv)]
+        else:
+            argv = ["sweep", "--input", str(crash_csv), "--q", "0.5", "--samples", "30", "--out", str(out)]
+        assert main(argv + [option, value]) == 2
+        assert f"finite, got {float(value)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_fails_before_clustering(self, crash_csv, tmp_path, monkeypatch, capsys):
         calls = []
 

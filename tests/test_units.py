@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apclust.core import ApcConfig, run_apc
 from apclust.errors import DerivationError, InputError
@@ -14,7 +16,29 @@ from apclust.units import (
     count_intersections,
     derive_meso_threshold,
 )
-from apclust.geo import PlanarPoint, polygonize
+from apclust.geo import PlanarPoint, contains, polygonize
+from references import reference_count_intersections, reference_polygonize
+
+COORDS = st.floats(min_value=-2000.0, max_value=2000.0)
+STEPS = st.floats(min_value=-50.0, max_value=50.0)
+GRID = st.integers(min_value=-4, max_value=4).map(lambda v: 25.0 * v)
+
+
+@st.composite
+def member_sets(draw) -> np.ndarray:
+    """1 to 12 planar points: scattered, on one line, or drawn with repeats from a few grid nodes."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    kind = draw(st.sampled_from(["random", "collinear", "duplicated"]))
+    if kind == "random":
+        pts = draw(st.lists(st.tuples(COORDS, COORDS), min_size=n, max_size=n))
+    elif kind == "collinear":
+        x0, y0, dx, dy = draw(COORDS), draw(COORDS), draw(STEPS), draw(STEPS)
+        steps = draw(st.lists(st.integers(min_value=-10, max_value=10), min_size=n, max_size=n))
+        pts = [(x0 + t * dx, y0 + t * dy) for t in steps]
+    else:
+        nodes = draw(st.lists(st.tuples(GRID, GRID), min_size=1, max_size=4))
+        pts = draw(st.lists(st.sampled_from(nodes), min_size=n, max_size=n))
+    return np.array(pts, dtype=np.float64)
 
 
 class TestClassifyLevel:
@@ -71,6 +95,32 @@ class TestCountIntersections:
         a = polygonize(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]))
         b = polygonize(np.array([[5.0, 0.0], [15.0, 0.0], [15.0, 10.0], [5.0, 10.0]]))
         assert count_intersections([a, b], np.array([[7.0, 5.0]])) == [1, 1]
+
+
+class TestPolygonsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(member_sets(), min_size=1, max_size=3),
+        st.floats(min_value=0.5, max_value=50.0),
+        st.lists(st.tuples(COORDS, COORDS), max_size=40),
+    )
+    def test_rings_areas_and_counts(self, member_lists, buffer_m, scattered):
+        polys = [polygonize(xy, buffer_m=buffer_m) for xy in member_lists]
+        refs = [reference_polygonize(xy, buffer_m=buffer_m) for xy in member_lists]
+        for poly, ref in zip(polys, refs):
+            expected = np.array(ref.ring, dtype=np.float64)
+            assert poly.ring.dtype == np.float64 and poly.ring.shape == expected.shape
+            assert poly.ring.tobytes() == expected.tobytes()
+            assert poly.area_km2.hex() == ref.area_km2.hex()
+        # Vertices and edge midpoints put candidates on the boundary.
+        pts = np.vstack(
+            [np.array(scattered, dtype=np.float64).reshape(-1, 2)]
+            + [p.ring for p in polys]
+            + [(p.ring[:-1] + p.ring[1:]) / 2.0 for p in polys]
+        )
+        counts = count_intersections(polys, pts)
+        assert counts == reference_count_intersections(refs, pts)
+        assert counts == [sum(contains(p, pt) for pt in pts.tolist()) for p in polys]
 
 
 class TestDeriveThreshold:
