@@ -170,10 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ApclustError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ApclustError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

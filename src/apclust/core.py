@@ -99,6 +99,8 @@ class ApcConfig:
             raise InputError("convergence_window must be smaller than max_iterations")
         if not 0 <= self.jitter_scale < math.inf:
             raise InputError(f"jitter_scale must be non-negative and finite, got {self.jitter_scale}")
+        if self.rng_seed < 0:
+            raise InputError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -350,11 +352,9 @@ def _pass_messages(s: np.ndarray, config: ApcConfig) -> tuple[np.ndarray, bool, 
     previous = None
     stable = 0
     converged = False
-    iterations = 0
     for iteration in range(1, config.max_iterations + 1):
         update_responsibilities(s, r, a, config.damping, support, tmp)
         update_availabilities(r, a, config.damping, support, tmp)
-        iterations = iteration
         decisions = (a.diagonal() + r.diagonal()) > 0
         if previous is not None and np.array_equal(decisions, previous):
             stable += 1
@@ -366,7 +366,7 @@ def _pass_messages(s: np.ndarray, config: ApcConfig) -> tuple[np.ndarray, bool, 
         if stable >= config.convergence_window and decisions.any():
             converged = True
             break
-    return a.diagonal() + r.diagonal(), converged, iterations
+    return a.diagonal() + r.diagonal(), converged, iteration
 
 
 def _jittered(s: np.ndarray, scale: float, seed: int, tmp: np.ndarray) -> np.ndarray:

@@ -164,6 +164,12 @@ def _convex_hull(xy: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=np.float64)
 
 
+def check_buffer_m(buffer_m: float) -> None:
+    """Refuse a degenerate-cluster buffer that is not positive and finite."""
+    if not 0 < buffer_m < math.inf:
+        raise InputError(f"buffer_m must be positive and finite, got {buffer_m}")
+
+
 def polygonize(members, buffer_m: float = DEFAULT_BUFFER_M) -> ClusterPolygon:
     """Convex hull of the member points, closed and counter-clockwise.
 
@@ -172,6 +178,7 @@ def polygonize(members, buffer_m: float = DEFAULT_BUFFER_M) -> ClusterPolygon:
     half-width buffer_m and the hull is taken over the corners, so every
     cluster yields a measurable polygon.
     """
+    check_buffer_m(buffer_m)
     xy = planar_to_array(members)
     if xy.ndim != 2 or xy.shape[0] == 0:
         raise InputError("polygonize requires at least one member point")

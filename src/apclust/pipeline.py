@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import ApcConfig, _block_rows, run_apc
-from .errors import ApclustError, ConvergenceError, FormatError, InputError, ResourceLimitError
-from .geo import DEFAULT_BUFFER_M, GeoPoint, lonlat_centroid, project_lonlat, unproject, valid_lonlat
+from .errors import ConvergenceError, DerivationError, FormatError, InputError, ResourceLimitError
+from .geo import DEFAULT_BUFFER_M, GeoPoint, check_buffer_m, lonlat_centroid, project_lonlat, unproject, valid_lonlat
 from .units import ScaleThresholds, SweepCell, UnitOfAnalysis, build_units, derive_meso_threshold
 
 log = logging.getLogger("apclust")
@@ -81,14 +81,15 @@ class RunManifest:
             raise InputError(f"thresholds must be explicit or 'derive', got {self.thresholds!r}")
         if self.thresholds == "derive" and self.input_intersections is None:
             raise InputError("thresholds='derive' requires an intersections input")
-        for name, value in (("buffer_m", self.buffer_m), ("mem_cap_gb", self.mem_cap_gb)):
-            if not 0 < value < math.inf:
-                raise InputError(f"{name} must be positive and finite, got {value}")
+        check_buffer_m(self.buffer_m)
+        if not 0 < self.mem_cap_gb < math.inf:
+            raise InputError(f"mem_cap_gb must be positive and finite, got {self.mem_cap_gb}")
         return ApcConfig(
             damping=self.damping,
             max_iterations=self.max_iterations,
             convergence_window=self.convergence_window,
             jitter_scale=self.jitter_scale,
+            rng_seed=self.rng_seed,
         )
 
 
@@ -122,7 +123,8 @@ def ingest_crashes(path) -> IngestResult:
     lon, lat = array("d"), array("d")
     n_rows = 0
     n_dropped = 0
-    with open(path, newline="") as f:
+    # Only lat and lon are parsed, so an undecodable byte elsewhere must not end the run.
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
@@ -213,8 +215,8 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     files; they run concurrently up to the APCLUST_THREADS cap, and no more
     at once than the memory cap holds at the largest run's estimate. A failed
     clustering run aborts the sweep naming the offending cell: a MemoryError
-    becomes a ResourceLimitError, and an exception outside ApclustError is
-    logged and re-raised unchanged. A failed GeoJSON export aborts the sweep
+    becomes a ResourceLimitError, and any other exception is logged with
+    its cell and re-raised unchanged. A failed GeoJSON export aborts the sweep
     before the summary is written. Each cell that did not converge is logged
     as a warning. Returns the cells in grid order, q-major.
     """
@@ -247,7 +249,12 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
 
     thresholds = manifest.thresholds
     if thresholds == "derive":
-        meso_max = derive_meso_threshold(inter_xy, cell_km=1.0)
+        meso_max = derive_meso_threshold(inter_xy)
+        if meso_max <= ScaleThresholds.micro_max:
+            raise DerivationError(
+                f"derived meso threshold {meso_max} is not above micro_max {ScaleThresholds.micro_max}; "
+                "pass --thresholds <micro_max>,<meso_max>"
+            )
         thresholds = ScaleThresholds(meso_max=meso_max)
         log.info("derived meso threshold: %d intersections", meso_max)
 
@@ -269,8 +276,6 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
                 sample_size=k,
                 buffer_m=manifest.buffer_m,
             )
-        except ApclustError as exc:
-            raise type(exc)(f"sweep cell q={q:g} sample={k} failed: {exc}") from exc
         except MemoryError as exc:
             gb = estimate_apc_memory_gb(k, jitter=manifest.jitter_scale > 0)
             raise ResourceLimitError(f"sweep cell q={q:g} sample={k} ran out of memory (estimated {gb:.3g} GB)") from exc

@@ -65,11 +65,10 @@ class SweepCell:
     iterations: int
 
 
-def classify_level(median_intersections: float, t: ScaleThresholds | None = None) -> str:
+def classify_level(median_intersections: float, t: ScaleThresholds = ScaleThresholds()) -> str:
     """Map a median intersection count to micro, meso, or macro."""
     if median_intersections < 0:
         raise InputError("median intersection count cannot be negative")
-    t = t or ScaleThresholds()
     if median_intersections <= t.micro_max:
         return "micro"
     if median_intersections <= t.meso_max:
@@ -83,9 +82,7 @@ def count_intersections(ua_polygons: list[ClusterPolygon], intersections) -> lis
     A point inside two overlapping polygons counts in both. Linear scan
     with a bounding-box pre-filter per polygon.
     """
-    xy = planar_to_array(intersections) if intersections is not None else np.empty((0, 2))
-    if xy.size == 0:
-        return [0] * len(ua_polygons)
+    xy = planar_to_array(intersections if intersections is not None else []).reshape(-1, 2)
     counts = []
     for poly in ua_polygons:
         xmin, ymin = poly.ring.min(axis=0)
@@ -123,8 +120,6 @@ def derive_meso_threshold(intersections, cell_km: float = 1.0) -> int:
     ix = np.floor((xy[:, 0] - xmin) / cell_m).astype(np.int64)
     iy = np.floor((xy[:, 1] - ymin) / cell_m).astype(np.int64)
     _, counts = np.unique(ix * (iy.max() + 2) + iy, return_counts=True)
-    if counts.size == 0:
-        raise DerivationError("no occupied grid cells; set the meso threshold manually")
     median = float(np.median(counts))
     return int(math.floor(median + 0.5))
 
@@ -133,7 +128,7 @@ def build_units(
     result: ClusterResult,
     planar_points,
     intersections,
-    t: ScaleThresholds | None = None,
+    t: ScaleThresholds = ScaleThresholds(),
     *,
     q: float = float("nan"),
     sample_size: int | None = None,
@@ -146,7 +141,6 @@ def build_units(
     sample_size are carried into the SweepCell for reporting, with the
     run's convergence flag and iteration count.
     """
-    t = t or ScaleThresholds()
     xy = planar_to_array(planar_points)
     if xy.shape[0] != result.assignment.shape[0]:
         raise InputError("point set does not match the clustering result")

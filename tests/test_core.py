@@ -249,6 +249,10 @@ class TestConfig:
         with pytest.raises(InputError):
             ApcConfig(max_iterations=50, convergence_window=50)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(InputError, match="rng_seed must be non-negative, got -1"):
+            ApcConfig(jitter_scale=1e-6, rng_seed=-1)
+
     def test_jitter_determinism(self):
         rng = np.random.default_rng(5)
         xy = rng.uniform(0, 100, size=(15, 2))

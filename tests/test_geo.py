@@ -193,6 +193,11 @@ class TestPolygonize:
         with pytest.raises(InputError):
             polygonize(np.empty((0, 2)))
 
+    @pytest.mark.parametrize("buffer_m", [0.0, -5.0, math.nan, math.inf])
+    def test_buffer_must_be_positive_and_finite(self, buffer_m):
+        with pytest.raises(InputError, match="buffer_m must be positive and finite"):
+            polygonize(np.array([[0.0, 0.0], [100.0, 0.0]]), buffer_m=buffer_m)
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=3, max_value=40), st.integers(min_value=0, max_value=10_000))
     def test_hull_matches_scipy_and_contains_members(self, n, seed):

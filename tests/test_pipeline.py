@@ -25,7 +25,7 @@ from apclust import cli, pipeline
 from apclust.cli import build_parser, main
 from apclust.core import ApcConfig, run_apc
 from apclust.errors import ConvergenceError, FormatError, InputError, ResourceLimitError
-from apclust.geo import GeoPoint
+from apclust.geo import GeoPoint, unproject
 from apclust.pipeline import (
     RunManifest,
     estimate_apc_memory_gb,
@@ -150,6 +150,23 @@ class TestIngest:
     def test_missing_file_refused(self, tmp_path):
         with pytest.raises(InputError):
             ingest_crashes(tmp_path / "absent.csv")
+
+    def test_undecodable_bytes_outside_coordinates_ignored(self, tmp_path):
+        # A latin-1 byte in an ignored column keeps its row; one inside a
+        # coordinate drops only that row.
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"lat,lon,note\n-30.05,-51.2,caf\xe9\n-30.06,-51.21\xe9,x\n-30.07,-51.22,ok\n")
+        result = ingest_crashes(path)
+        assert result.lat.tolist() == [-30.05, -30.07]
+        assert result.n_rows == 3
+        assert result.n_dropped == 1
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbflat,lon\n-30.05,-51.2\n-30.06,-51.21\n")
+        result = ingest_crashes(path)
+        assert result.lat.tolist() == [-30.05, -30.06]
+        assert result.lon.tolist() == [-51.2, -51.21]
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(dirty_csv())
@@ -518,6 +535,7 @@ class TestCli:
             ("--buffer-m", "inf"),
             ("--cell-km", "nan"),
             ("--cell-km", "inf"),
+            ("--seed", "-1"),
         ],
     )
     def test_non_finite_or_zero_option_exit_2(self, option, value, crash_csv, intersections_csv, tmp_path, capsys):
@@ -527,7 +545,8 @@ class TestCli:
         else:
             argv = ["sweep", "--input", str(crash_csv), "--q", "0.5", "--samples", "30", "--out", str(out)]
         assert main(argv + [option, value]) == 2
-        assert f"finite, got {float(value)}" in capsys.readouterr().err
+        expected = "non-negative, got -1" if option == "--seed" else f"finite, got {float(value)}"
+        assert expected in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_out_fails_before_clustering(self, crash_csv, tmp_path, monkeypatch, capsys):
@@ -616,6 +635,20 @@ class TestCli:
             ]
         )
         assert code == 0
+
+    def test_derived_threshold_not_above_micro_max_exit_2(self, crash_csv, tmp_path, capsys):
+        # Points 2 km apart put one intersection in each occupied 1 km cell,
+        # so the derived meso bound is 1, equal to the default micro_max.
+        grid = tmp_path / "grid.csv"
+        xy = [(2000.0 * i, 2000.0 * j) for i in range(5) for j in range(5)]
+        write_points_csv(unproject(xy, BLOB_FRAME_ORIGIN), grid)
+        out = tmp_path / "out"
+        argv = ["sweep", "--input", str(crash_csv), "--q", "0.5", "--samples", "30", "--intersections", str(grid)]
+        assert main(argv + ["--thresholds", "derive", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "derived meso threshold 1 is not above micro_max 1" in err
+        assert "--thresholds <micro_max>,<meso_max>" in err
+        assert not out.exists()
 
     def test_bad_input_exit_2(self, tmp_path, capsys):
         path = tmp_path / "wrong.csv"
