@@ -19,8 +19,8 @@ similarities.
 One kernel does the message passing in place: it holds S, R and A, a
 column-support vector and one scratch block of rows, and sweeps the rows
 block by block, so an iteration allocates no n x n temporary. A run mutates
-only its own state, so concurrent runs on separate inputs need no
-coordination.
+only its own state and, while a jittered loop runs, its S, so concurrent
+runs on separate matrices need no coordination.
 """
 
 from __future__ import annotations
@@ -45,11 +45,13 @@ class SimilarityMatrix:
 
     ``s[i, k]`` holds the similarity of point i to candidate exemplar k
     (dimensionless, larger = more similar). The diagonal is NaN until a
-    preference has been applied.
+    preference has been applied. ``xy`` is a copy of the points S was built
+    from, which a jittered run rebuilds S from; a hand-built matrix has none.
     """
 
     s: np.ndarray
     preference_applied: bool = False
+    xy: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -130,7 +132,7 @@ def build_similarity(points) -> SimilarityMatrix:
     computed explicitly (blocked over rows) so identical points yield an
     exact similarity of 0.
     """
-    xy = planar_to_array(points)
+    xy = np.array(planar_to_array(points))
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise InputError(f"expected planar (n, 2) coordinates, got shape {xy.shape}")
     n = xy.shape[0]
@@ -141,14 +143,18 @@ def build_similarity(points) -> SimilarityMatrix:
         raise InputError(f"non-finite coordinate at index {int(np.flatnonzero(bad)[0])}")
 
     s = np.empty((n, n), dtype=np.float64)
-    block = max(1, _SCRATCH_BYTES // (16 * n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        diff = xy[start:stop, None, :] - xy[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=s[start:stop])
+    _fill_similarity(xy, s, np.nan)
+    return SimilarityMatrix(s=s, preference_applied=False, xy=xy)
+
+
+def _fill_similarity(xy: np.ndarray, s: np.ndarray, diagonal) -> None:
+    """Write -||x_i - x_k||^2 into s off the diagonal, and diagonal on it."""
+    block = max(1, _SCRATCH_BYTES // (16 * len(xy)))
+    for start in range(0, len(xy), block):
+        diff = xy[start : start + block, None, :] - xy[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=s[start : start + block])
     np.negative(s, out=s)
-    np.fill_diagonal(s, np.nan)
-    return SimilarityMatrix(s=s, preference_applied=False)
+    np.fill_diagonal(s, diagonal)
 
 
 def apply_preference(m: SimilarityMatrix, q: float) -> SimilarityMatrix:
@@ -319,13 +325,24 @@ def run_apc_on_matrix(m: SimilarityMatrix, config: ApcConfig) -> ClusterResult:
     Stops once the decision vector (which points satisfy a(k, k) + r(k, k) > 0)
     is unchanged for config.convergence_window consecutive iterations, or at
     config.max_iterations; the converged flag records which condition fired.
-    When jitter is enabled, seeded noise is added to the off-diagonal entries
-    of a working copy; exemplar refinement and net similarity always use the
-    caller's clean matrix.
+    When jitter is enabled, seeded noise is added off the diagonal of m.s in
+    place; after the loop, even one that raises, m.s is rebuilt from m.xy and
+    its diagonal put back, so exemplar refinement, net similarity and the
+    caller see the clean matrix, bit for bit, in the same array.
     """
     if not m.preference_applied:
         raise ValueError("apply a preference before running")
-    criterion, converged, iterations = _pass_messages(m.s, config)
+    if config.jitter_scale == 0:
+        criterion, converged, iterations = _pass_messages(m.s, config)
+    elif m.xy is None:
+        raise ValueError("jitter needs the points S was built from; use build_similarity")
+    else:
+        diagonal = m.s.diagonal().copy()
+        _jitter(m.s, config.jitter_scale, config.rng_seed)
+        try:
+            criterion, converged, iterations = _pass_messages(m.s, config)
+        finally:
+            _fill_similarity(m.xy, m.s, diagonal)
     exemplars, assignment = decide_exemplars(m, criterion)
     return ClusterResult(
         exemplars=[int(e) for e in exemplars],
@@ -339,14 +356,12 @@ def run_apc_on_matrix(m: SimilarityMatrix, config: ApcConfig) -> ClusterResult:
 def _pass_messages(s: np.ndarray, config: ApcConfig) -> tuple[np.ndarray, bool, int]:
     """The iteration loop: returns a(k, k) + r(k, k), whether it converged, and the iteration count.
 
-    The kernel holds S, R and A (plus the jittered copy of S), the column
-    support and one scratch block; all are released on return, before
-    exemplar refinement runs.
+    The kernel reads s as given (jitter, if any, is already in it) and holds
+    R and A, the column support and one scratch block besides; all are
+    released on return, before S is rebuilt and exemplar refinement runs.
     """
     n = s.shape[0]
     support, tmp = message_workspace(n)
-    if config.jitter_scale > 0:
-        s = _jittered(s, config.jitter_scale, config.rng_seed, tmp)
     r = np.zeros((n, n))
     a = np.zeros((n, n))
     previous = None
@@ -369,27 +384,24 @@ def _pass_messages(s: np.ndarray, config: ApcConfig) -> tuple[np.ndarray, bool, 
     return a.diagonal() + r.diagonal(), converged, iteration
 
 
-def _jittered(s: np.ndarray, scale: float, seed: int, tmp: np.ndarray) -> np.ndarray:
-    """A copy of s with seeded normal noise added off the diagonal.
+def _jitter(s: np.ndarray, scale: float, seed: int) -> None:
+    """Add seeded normal noise to s in place, zero on the diagonal; the caller rebuilds s after use.
 
-    The noise is drawn into tmp one row block at a time, in row order, from
-    one Generator: value for value the stream of a single n x n
-    ``normal(0, scale)`` draw, which computes 0 + scale * z.
+    The noise is drawn one row block at a time, in row order, from one
+    Generator: value for value the stream of a single n x n
+    ``normal(0, scale)`` draw, which computes 0 + scale * z. The added zero
+    turns a -0.0 diagonal into +0.0.
     """
     n = s.shape[0]
     rng = np.random.default_rng(seed)
-    work = s.copy()
-    block = tmp.shape[0] - 1
+    block = _block_rows(n)
+    buf = np.empty((block, n))
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        rows = np.arange(stop - start)
-        noise = tmp[: stop - start]
-        rng.standard_normal(out=noise)
+        noise = rng.standard_normal(out=buf[: n - start])
         noise *= scale
         noise += 0.0
-        noise[rows, rows + start] = 0.0
-        work[start:stop] += noise
-    return work
+        np.fill_diagonal(noise[:, start:], 0.0)
+        s[start : start + block] += noise
 
 
 def run_apc(points, config: ApcConfig) -> ClusterResult:

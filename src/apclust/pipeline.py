@@ -114,7 +114,8 @@ def ingest_crashes(path) -> IngestResult:
     Header names match stripped and case-insensitively, the last match
     winning. Other columns and blank lines are ignored. Rows too short, with
     a coordinate float() cannot parse, or outside geo.valid_lonlat are
-    dropped and counted in a logged warning.
+    dropped and counted in a logged warning. Text the csv module cannot
+    read, such as a field over csv.field_size_limit(), is a FormatError.
     """
     path = Path(path)
     if not path.exists():
@@ -126,24 +127,28 @@ def ingest_crashes(path) -> IngestResult:
     # Only lat and lon are parsed, so an undecodable byte elsewhere must not end the run.
     with open(path, newline="", encoding="utf-8-sig", errors="replace") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise FormatError(f"{path}: empty file, expected a header with lat and lon")
-        columns = {name.strip().lower(): i for i, name in enumerate(header)}
-        if "lat" not in columns or "lon" not in columns:
-            raise FormatError(f"{path}: header must contain lat and lon columns, got {header}")
-        lat_i, lon_i = columns["lat"], columns["lon"]
-        for row in reader:
-            if not row:
-                continue
-            n_rows += 1
-            try:
-                x, y = float(row[lon_i]), float(row[lat_i])
-            except (IndexError, ValueError):
-                n_dropped += 1
-                continue
-            lon.append(x)
-            lat.append(y)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file, expected a header with lat and lon")
+            columns = {name.strip().lower(): i for i, name in enumerate(header)}
+            if "lat" not in columns or "lon" not in columns:
+                raise FormatError(f"{path}: header must contain lat and lon columns, got {header}")
+            lat_i, lon_i = columns["lat"], columns["lon"]
+            for row in reader:
+                if not row:
+                    continue
+                n_rows += 1
+                try:
+                    x, y = float(row[lon_i]), float(row[lat_i])
+                except (IndexError, ValueError):
+                    n_dropped += 1
+                    continue
+                lon.append(x)
+                lat.append(y)
+        except csv.Error as exc:
+            # csv.field_size_limit() is global to the process: leave it, and refuse an over-long field.
+            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     lon_all, lat_all = np.frombuffer(lon), np.frombuffer(lat)
     keep = valid_lonlat(lon_all, lat_all)
     n_dropped += int(keep.size - np.count_nonzero(keep))
@@ -175,17 +180,15 @@ def _sample_indices(n: int, k: int, seed) -> np.ndarray:
     return idx
 
 
-def estimate_apc_memory_gb(n: int, jitter: bool = False) -> float:
+def estimate_apc_memory_gb(n: int) -> float:
     """Peak resident estimate for one run, in GB: the message-passing kernel's buffers at 64-bit.
 
-    Those are S, R and A, plus the noisy copy of S when jitter is on, the
-    (block + 1) x n scratch and a few length-n vectors, plus a fixed
-    allowance for interpreter and allocator overhead. Every other stage
-    holds less: the preference quantile holds S and one copy of its
-    off-diagonal.
+    Those are S, R and A (jitter is added to S in place), the (block + 1) x n
+    scratch and a few length-n vectors, plus a fixed allowance for
+    interpreter and allocator overhead. Every other stage holds less: the
+    preference quantile holds S and one copy of its off-diagonal.
     """
-    matrices = 4 if jitter else 3
-    floats = matrices * n * n + (_block_rows(n) + 1) * n + _RUN_VECTORS * n
+    floats = 3 * n * n + (_block_rows(n) + 1) * n + _RUN_VECTORS * n
     return (8.0 * floats + _RUN_OVERHEAD_BYTES) / 1e9
 
 
@@ -235,7 +238,7 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
         if sizes.count(k) > 1:
             raise InputError(f"sample size {k} repeats")
 
-    est_gb = estimate_apc_memory_gb(max(sizes), jitter=manifest.jitter_scale > 0)
+    est_gb = estimate_apc_memory_gb(max(sizes))
     if est_gb > manifest.mem_cap_gb:
         raise ResourceLimitError(
             f"estimated {est_gb:.1f} GB for the largest run exceeds the {manifest.mem_cap_gb:.1f} GB cap"
@@ -277,7 +280,7 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
                 buffer_m=manifest.buffer_m,
             )
         except MemoryError as exc:
-            gb = estimate_apc_memory_gb(k, jitter=manifest.jitter_scale > 0)
+            gb = estimate_apc_memory_gb(k)
             raise ResourceLimitError(f"sweep cell q={q:g} sample={k} ran out of memory (estimated {gb:.3g} GB)") from exc
         except Exception:
             # A bug, not bad input: keep its type and traceback.

@@ -266,9 +266,41 @@ class TestConfig:
     def test_jitter_leaves_input_matrix_clean(self):
         m = line_matrix()
         apply_preference(m, 0.5)
-        before = m.s.copy()
+        assert_run_restores_matrix(m)
+
+    def test_jitter_restores_negative_zero_preference(self):
+        # Duplicate points give -0.0 off the diagonal; the added zero noise
+        # would leave +0.0 on a -0.0 diagonal.
+        m = build_similarity(np.repeat(LINE_XY, 2, axis=0))
+        set_preference(m, -0.0)
+        assert_run_restores_matrix(m)
+        assert np.signbit(m.s.diagonal()).all()
+
+    def test_jitter_restores_matrix_when_kernel_raises(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(core, "update_availabilities", fail)
+        m = line_matrix()
+        apply_preference(m, 0.5)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            assert_run_restores_matrix(m)
+
+    def test_hand_built_matrix_cannot_be_jittered(self):
+        m = SimilarityMatrix(s=line_matrix().s)
+        apply_preference(m, 0.5)
+        with pytest.raises(ValueError, match="jitter needs the points"):
+            assert_run_restores_matrix(m)
+
+
+def assert_run_restores_matrix(m: SimilarityMatrix) -> None:
+    """A jittered run leaves m.s the same array, bit for bit, whether or not it raises."""
+    s, before = m.s, m.s.copy()
+    try:
         run_apc_on_matrix(m, ApcConfig(q=0.5, jitter_scale=1.0, rng_seed=1))
-        np.testing.assert_array_equal(m.s, before)
+    finally:
+        assert m.s is s
+        assert np.array_equal(m.s.view(np.uint64), before.view(np.uint64))
 
 
 @st.composite
@@ -322,7 +354,9 @@ def assert_kernel_matches_reference(xy, q, damping, jitter, block, iterations, s
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_SCRATCH_BYTES", 8 * n * block)
         r, a, support, tmp = zero_messages(n)
-        s = core._jittered(m.s, jitter, seed, tmp) if jitter else m.s
+        s = m.s.copy()
+        if jitter:
+            core._jitter(s, jitter, seed)
     assert tmp.shape == (block + 1, n)
     s_ref = reference_jittered(m.s, jitter, seed) if jitter else m.s
     assert_bitwise_equal(s, s_ref)

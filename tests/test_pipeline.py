@@ -230,9 +230,8 @@ class TestSampling:
         assert np.array_equal(pipeline._sample_indices(9, 9, 1), np.arange(9))
 
     def test_memory_estimate(self):
-        # S, R and A at 8 bytes, plus the jittered copy of S when jitter is on.
+        # S, R and A at 8 bytes, with or without jitter.
         assert estimate_apc_memory_gb(5000) == pytest.approx(0.6, rel=0.01)
-        assert estimate_apc_memory_gb(5000, jitter=True) == pytest.approx(0.8, rel=0.01)
 
 
 # Runs one clustering cell of n points in a fresh process and reports how far
@@ -261,7 +260,7 @@ json.dump(
     {
         "growth": hwm_after - rss_before,
         "hwm_rose": hwm_after > hwm_before,
-        "estimate": estimate_apc_memory_gb(n, jitter=jitter > 0) * 1e9,
+        "estimate": estimate_apc_memory_gb(n) * 1e9,
     },
     sys.stdout,
 )
@@ -511,6 +510,17 @@ class TestCli:
         code = main(["sweep", "--input", str(crash_csv), "--q", "0.5,0.5", "--samples", "30", "--out", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_over_long_field_exit_2(self, tmp_path, capsys):
+        # The field sits in an ignored column, on the file's second line.
+        path = tmp_path / "big.csv"
+        note = "x" * 200_000
+        path.write_text(f'lat,lon,note\n-30.05,-51.2,"{note}"\n-30.06,-51.21,a\n-30.07,-51.22,b\n')
+        out = tmp_path / "o"
+        assert main(["cluster", "--input", str(path), "--q", "0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 2: field larger than field limit" in err
         assert not out.exists()
 
     def test_bad_run_parameter_exit_2_before_any_cell(self, crash_csv, tmp_path, capsys):
