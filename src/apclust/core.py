@@ -37,6 +37,12 @@ from .geo import planar_to_array
 # many rows as fit in this many bytes of float64 (at least one), and the
 # distance construction's (rows, n, 2) differences fit in the same budget.
 _SCRATCH_BYTES = 2**20
+# Length-n float vectors a run holds next to its matrices (column support,
+# decision criterion, decision flags), with room to spare, and a fixed
+# allowance for interpreter and allocator overhead. Measured on Linux with
+# glibc: at most 200 KiB above the matrices and scratch for n up to 4000.
+_RUN_VECTORS = 8
+_RUN_OVERHEAD_BYTES = 2**19
 
 
 @dataclass
@@ -200,6 +206,18 @@ def _block_rows(n: int) -> int:
 def message_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The kernel's buffers besides S, R and A: the column-support vector and a (block + 1) x n scratch."""
     return np.zeros(n), np.empty((_block_rows(n) + 1, n))
+
+
+def estimate_apc_memory_gb(n: int) -> float:
+    """Peak resident estimate for one run, in GB: the message-passing kernel's buffers at 64-bit.
+
+    Those are S, R and A (jitter is added to S in place), the (block + 1) x n
+    scratch and a few length-n vectors, plus a fixed allowance for
+    interpreter and allocator overhead. Every other stage holds less: the
+    preference quantile holds S and one copy of its off-diagonal.
+    """
+    floats = 3 * n * n + (_block_rows(n) + 1) * n + _RUN_VECTORS * n
+    return (8.0 * floats + _RUN_OVERHEAD_BYTES) / 1e9
 
 
 def update_responsibilities(

@@ -3,8 +3,8 @@
 The projection is a local equirectangular mapping around an origin (usually
 the dataset centroid): adequate at city scale (< 50 km extent, error below
 0.1%) and exactly invertible. All polygon operations work on the planar
-frame; areas are reported in km². A PlanarPoint is an (x, y) pair, so
-point lists and (n, 2) arrays convert into each other directly.
+frame; areas are reported in km². Coordinates travel as (n, 2) arrays,
+(lon, lat) rows in and (x, y) rows out; a PlanarPoint is one (x, y) row.
 """
 
 from __future__ import annotations
@@ -71,35 +71,35 @@ def _check_lat(lat: float) -> None:
         raise InputError(f"latitude {lat} beyond supported range (|lat| <= {MAX_SUPPORTED_LAT_DEG})")
 
 
-def _lonlat(points: list[GeoPoint]) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([p.lon for p in points], dtype=np.float64), np.array([p.lat for p in points], dtype=np.float64)
+def _lonlat(points) -> np.ndarray:
+    """(n, 2) float array of (lon, lat) rows from GeoPoints; an array passes through uncopied."""
+    if isinstance(points, np.ndarray):
+        return points
+    return np.array([(p.lon, p.lat) for p in points], dtype=np.float64).reshape(-1, 2)
 
 
-def lonlat_centroid(lon: np.ndarray, lat: np.ndarray) -> GeoPoint:
-    """Arithmetic mean of lon/lat arrays; the conventional projection origin.
+def centroid(points) -> GeoPoint:
+    """Arithmetic mean of GeoPoints or (lon, lat) rows; the conventional projection origin.
 
     Sums left to right from 0, as Python 3.11's sum() does, so the origin's
     bits do not depend on the Python version: np.sum adds pairwise and
     3.12's sum() compensates, and either changes every output downstream.
     """
-    if lon.size == 0:
+    lonlat = _lonlat(points)
+    if lonlat.shape[0] == 0:
         raise InputError("cannot take the centroid of no points")
     # Starting from 0.0, as sum() does, makes an all -0.0 sum +0.0.
-    mean_lon, mean_lat = ((0.0 + float(np.add.accumulate(v)[-1])) / v.size for v in (lon, lat))
+    mean_lon, mean_lat = ((0.0 + float(np.add.accumulate(v)[-1])) / v.size for v in lonlat.T)
     return GeoPoint(lon=mean_lon, lat=mean_lat)
 
 
-def centroid(points: list[GeoPoint]) -> GeoPoint:
-    """Arithmetic mean of lon/lat; the conventional projection origin (see lonlat_centroid)."""
-    return lonlat_centroid(*_lonlat(points))
-
-
-def project_lonlat(lon: np.ndarray, lat: np.ndarray, origin: GeoPoint) -> np.ndarray:
-    """Project WGS84 lon/lat arrays to an (n, 2) array of local planar meters around origin.
+def project(points, origin: GeoPoint) -> np.ndarray:
+    """Project GeoPoints or (lon, lat) rows to an (n, 2) array of local planar meters around origin.
 
     x = R * dlon_rad * cos(lat_origin), y = R * dlat_rad.
     """
     _check_lat(origin.lat)
+    lon, lat = _lonlat(points).T
     polar = np.flatnonzero(np.abs(lat) > MAX_SUPPORTED_LAT_DEG)
     if polar.size:
         i = int(polar[0])
@@ -109,11 +109,6 @@ def project_lonlat(lon: np.ndarray, lat: np.ndarray, origin: GeoPoint) -> np.nda
     xy[:, 0] = EARTH_RADIUS_M * np.radians(lon - origin.lon) * cos0
     xy[:, 1] = EARTH_RADIUS_M * np.radians(lat - origin.lat)
     return xy
-
-
-def project(points: list[GeoPoint], origin: GeoPoint) -> list[PlanarPoint]:
-    """Project WGS84 points to local planar meters around origin (see project_lonlat)."""
-    return [PlanarPoint(x=x, y=y) for x, y in project_lonlat(*_lonlat(points), origin).tolist()]
 
 
 def unproject(points, origin: GeoPoint) -> list[GeoPoint]:

@@ -23,20 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ApcConfig, _block_rows, run_apc
+from .core import ApcConfig, estimate_apc_memory_gb, run_apc
 from .errors import ConvergenceError, DerivationError, FormatError, InputError, ResourceLimitError
-from .geo import DEFAULT_BUFFER_M, GeoPoint, check_buffer_m, lonlat_centroid, project_lonlat, unproject, valid_lonlat
+from .geo import DEFAULT_BUFFER_M, GeoPoint, centroid, check_buffer_m, project, unproject, valid_lonlat
 from .units import ScaleThresholds, SweepCell, UnitOfAnalysis, build_units, derive_meso_threshold
 
 log = logging.getLogger("apclust")
 
 THREADS_ENV_VAR = "APCLUST_THREADS"
-# Length-n float vectors a run holds next to its matrices (column support,
-# decision criterion, decision flags), with room to spare, and a fixed
-# allowance for interpreter and allocator overhead. Measured on Linux with
-# glibc: at most 200 KiB above the matrices and scratch for n up to 4000.
-_RUN_VECTORS = 8
-_RUN_OVERHEAD_BYTES = 2**19
 
 
 @dataclass
@@ -95,17 +89,16 @@ class RunManifest:
 
 @dataclass
 class IngestResult:
-    """Parsed coordinates plus row accounting (valid + dropped = total)."""
+    """Parsed (n, 2) lon/lat rows plus row accounting (valid + dropped = total)."""
 
-    lon: np.ndarray
-    lat: np.ndarray
+    lonlat: np.ndarray
     n_rows: int
     n_dropped: int
 
     @property
     def points(self) -> list[GeoPoint]:
         """The kept rows as GeoPoints, built on each access."""
-        return [GeoPoint(lon=x, lat=y) for x, y in zip(self.lon.tolist(), self.lat.tolist())]
+        return [GeoPoint(lon=x, lat=y) for x, y in self.lonlat.tolist()]
 
 
 def ingest_crashes(path) -> IngestResult:
@@ -120,8 +113,8 @@ def ingest_crashes(path) -> IngestResult:
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
-    # One float per coordinate, not one object per row.
-    lon, lat = array("d"), array("d")
+    # One float per coordinate, lon then lat, not one object per row.
+    lonlat = array("d")
     n_rows = 0
     n_dropped = 0
     # Only lat and lon are parsed, so an undecodable byte elsewhere must not end the run.
@@ -144,32 +137,36 @@ def ingest_crashes(path) -> IngestResult:
                 except (IndexError, ValueError):
                     n_dropped += 1
                     continue
-                lon.append(x)
-                lat.append(y)
+                lonlat.append(x)
+                lonlat.append(y)
         except csv.Error as exc:
             # csv.field_size_limit() is global to the process: leave it, and refuse an over-long field.
             raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
-    lon_all, lat_all = np.frombuffer(lon), np.frombuffer(lat)
-    keep = valid_lonlat(lon_all, lat_all)
+    rows = np.frombuffer(lonlat).reshape(-1, 2)
+    keep = valid_lonlat(rows[:, 0], rows[:, 1])
     n_dropped += int(keep.size - np.count_nonzero(keep))
     if n_dropped:
         log.warning("%s: dropped %d of %d rows with invalid coordinates", path, n_dropped, n_rows)
     if n_dropped == n_rows:
         raise InputError(f"{path}: no valid coordinate rows")
-    return IngestResult(lon=lon_all[keep], lat=lat_all[keep], n_rows=n_rows, n_dropped=n_dropped)
+    return IngestResult(lonlat=rows[keep], n_rows=n_rows, n_dropped=n_dropped)
 
 
 def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoint]:
     """Ingest a points file and project it to planar meters around origin.
 
-    The origin defaults to the file's own centroid. Only the (n, 2) array
-    is kept: the coordinate arrays are freed on return rather than held
-    through the clustering runs.
+    The origin defaults to the file's own centroid. Only the planar array
+    is kept: the lon/lat array is freed on return rather than held through
+    the clustering runs. A refused coordinate names the file.
     """
     rows = ingest_crashes(path)
     if origin is None:
-        origin = lonlat_centroid(rows.lon, rows.lat)
-    return project_lonlat(rows.lon, rows.lat, origin), origin
+        origin = centroid(rows.lonlat)
+    try:
+        return project(rows.lonlat, origin), origin
+    except InputError as exc:
+        # project numbers points from 0 among the rows ingest kept, not by file line.
+        raise InputError(f"{path}: {str(exc).replace('point', 'kept row', 1)}") from exc
 
 
 def _sample_indices(n: int, k: int, seed) -> np.ndarray:
@@ -178,18 +175,6 @@ def _sample_indices(n: int, k: int, seed) -> np.ndarray:
     idx = rng.choice(n, size=k, replace=False)
     idx.sort()
     return idx
-
-
-def estimate_apc_memory_gb(n: int) -> float:
-    """Peak resident estimate for one run, in GB: the message-passing kernel's buffers at 64-bit.
-
-    Those are S, R and A (jitter is added to S in place), the (block + 1) x n
-    scratch and a few length-n vectors, plus a fixed allowance for
-    interpreter and allocator overhead. Every other stage holds less: the
-    preference quantile holds S and one copy of its off-diagonal.
-    """
-    floats = 3 * n * n + (_block_rows(n) + 1) * n + _RUN_VECTORS * n
-    return (8.0 * floats + _RUN_OVERHEAD_BYTES) / 1e9
 
 
 def _cell_seed(rng_seed: int, sample_size: int, q: float) -> int:

@@ -97,14 +97,6 @@ def _subset_value(s: np.ndarray, subset: tuple[int, ...]) -> float:
     return value
 
 
-def oracle_assignment(m: SimilarityMatrix, exemplars) -> np.ndarray:
-    """Optimal per-point assignment for a fixed exemplar set (ties to lowest index)."""
-    cols = np.asarray(sorted(exemplars))
-    assignment = cols[np.argmax(m.s[:, cols], axis=1)]
-    assignment[cols] = cols
-    return assignment
-
-
 def generate_blobs(spec: SyntheticSpec) -> list[GeoPoint]:
     """Seeded isotropic-normal blobs inside a 20 km square near lat -30.
 

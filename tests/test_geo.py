@@ -23,7 +23,6 @@ from apclust.geo import (
     polygon_area_km2,
     polygonize,
     project,
-    project_lonlat,
     unproject,
 )
 from references import reference_mean, reference_project
@@ -58,20 +57,20 @@ class TestGeoPoint:
 
 class TestProjection:
     def test_origin_maps_to_zero(self):
-        (p,) = project([ORIGIN], ORIGIN)
-        assert p.x == 0.0 and p.y == 0.0
+        ((x, y),) = project([ORIGIN], ORIGIN)
+        assert x == 0.0 and y == 0.0
 
     def test_northward_step_against_haversine(self):
         north = GeoPoint(lon=ORIGIN.lon, lat=ORIGIN.lat + 0.01)
-        (p,) = project([north], ORIGIN)
-        assert p.x == pytest.approx(0.0, abs=1e-9)
-        assert p.y == pytest.approx(haversine_m(ORIGIN, north), abs=0.5)
+        ((x, y),) = project([north], ORIGIN)
+        assert x == pytest.approx(0.0, abs=1e-9)
+        assert y == pytest.approx(haversine_m(ORIGIN, north), abs=0.5)
 
     def test_eastward_step_against_haversine(self):
         east = GeoPoint(lon=ORIGIN.lon + 0.01, lat=ORIGIN.lat)
-        (p,) = project([east], ORIGIN)
-        assert p.y == pytest.approx(0.0, abs=1e-9)
-        assert p.x == pytest.approx(haversine_m(ORIGIN, east), rel=1e-4)
+        ((x, y),) = project([east], ORIGIN)
+        assert y == pytest.approx(0.0, abs=1e-9)
+        assert x == pytest.approx(haversine_m(ORIGIN, east), rel=1e-4)
 
     def test_polar_origin_refused(self):
         with pytest.raises(InputError):
@@ -113,16 +112,17 @@ class TestProjection:
     @given(st.lists(st.tuples(LONS, LATS), max_size=30), st.tuples(LONS, LATS))
     def test_projection_matches_per_point_reference(self, coords, origin_coords):
         points = [GeoPoint(lon, lat) for lon, lat in coords]
+        lonlat = np.array(coords, dtype=np.float64).reshape(-1, 2)
         origin = GeoPoint(*origin_coords)
         try:
             expected = planar_to_array(reference_project(points, origin)).reshape(-1, 2)
         except InputError as exc:
-            with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
-                project(points, origin)
+            for given_points in (points, lonlat):
+                with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                    project(given_points, origin)
             return
-        lon = np.array([p.lon for p in points], dtype=np.float64)
-        lat = np.array([p.lat for p in points], dtype=np.float64)
-        for xy in (project_lonlat(lon, lat, origin), planar_to_array(project(points, origin)).reshape(-1, 2)):
+        for xy in (project(points, origin), project(lonlat, origin)):
+            assert xy.dtype == np.float64 and xy.shape == (len(points), 2)
             assert np.array_equal(xy, expected)
             assert np.array_equal(np.signbit(xy), np.signbit(expected))
 

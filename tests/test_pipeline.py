@@ -157,7 +157,7 @@ class TestIngest:
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"lat,lon,note\n-30.05,-51.2,caf\xe9\n-30.06,-51.21\xe9,x\n-30.07,-51.22,ok\n")
         result = ingest_crashes(path)
-        assert result.lat.tolist() == [-30.05, -30.07]
+        assert result.lonlat[:, 1].tolist() == [-30.05, -30.07]
         assert result.n_rows == 3
         assert result.n_dropped == 1
 
@@ -165,8 +165,7 @@ class TestIngest:
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbflat,lon\n-30.05,-51.2\n-30.06,-51.21\n")
         result = ingest_crashes(path)
-        assert result.lat.tolist() == [-30.05, -30.06]
-        assert result.lon.tolist() == [-51.2, -51.21]
+        assert result.lonlat.tolist() == [[-51.2, -30.05], [-51.21, -30.06]]
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(dirty_csv())
@@ -181,8 +180,8 @@ class TestIngest:
             return
         result = ingest_crashes(path)
         assert (result.n_rows, result.n_dropped) == (n_rows, n_dropped)
-        assert result.lon.tobytes() == np.array([p.lon for p in points], dtype=np.float64).tobytes()
-        assert result.lat.tobytes() == np.array([p.lat for p in points], dtype=np.float64).tobytes()
+        assert result.lonlat.shape == (len(points), 2)
+        assert result.lonlat.tobytes() == np.array([(p.lon, p.lat) for p in points], dtype=np.float64).tobytes()
         assert result.points == points
 
     def test_memory_per_row(self, tmp_path):
@@ -667,6 +666,17 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("polar_file", ["--input", "--intersections"])
+    def test_polar_row_names_its_file_exit_2(self, crash_csv, tmp_path, capsys, polar_file):
+        # 89.95 is a valid latitude, so ingest keeps the row; the projection refuses it.
+        polar = tmp_path / "polar.csv"
+        polar.write_text("lat,lon\nnan,-51.2\n-30.0,-51.2\n-30.01,-51.21\n89.95,-51.2\n")
+        files = {"--input": crash_csv, "--intersections": crash_csv, polar_file: polar}
+        argv = ["cluster", "--q", "0.5", "--input", str(files["--input"]), "--intersections", str(files["--intersections"])]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {polar}: kept row 2: latitude 89.95 beyond supported range" in err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["cluster", "--input", str(tmp_path / "nope.csv"), "--q", "0.5"]) == 2
 
@@ -780,6 +790,9 @@ def test_traced_bench_call_reports_every_layer_metric(grid, threads, crash_csv, 
     assert sorted(metrics) == sorted(LAYER_METRICS)
     bad = {k: v for k, v in metrics.items() if not isinstance(v, (int, float)) or not math.isfinite(v)}
     assert bad == {}
+    # Every kept row of both inputs passes through the projection the bench times.
+    kept = sum(ingest_crashes(path).lonlat.shape[0] for path in (crash_csv, intersections_csv))
+    assert metrics["geo.project_points"] == kept
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from apclust.testkit import (
     SyntheticSpec,
     brute_force_exemplars,
     generate_blobs,
-    oracle_assignment,
     write_points_csv,
 )
 
@@ -79,12 +78,6 @@ class TestBruteForceOracle:
         apply_preference(m, 0.5)
         with pytest.raises(InputError):
             brute_force_exemplars(m)
-
-    def test_oracle_assignment(self):
-        m = build_similarity(np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]]))
-        apply_preference(m, 0.5)
-        assign = oracle_assignment(m, (0, 2))
-        assert assign.tolist() == [0, 0, 2]
 
     def test_symmetric_pair_with_generous_preference(self):
         # With preference -d^2/2, two singletons (value -d^2) beat one
