@@ -9,6 +9,7 @@ frame; areas are reported in km². Coordinates travel as (n, 2) arrays,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,9 +46,13 @@ class PlanarPoint(NamedTuple):
     y: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterPolygon:
-    """A simple, closed, counter-clockwise ring around one cluster, as an (m + 1, 2) planar array."""
+    """A simple, closed, counter-clockwise ring around one cluster, as an (m + 1, 2) planar array.
+
+    The ring is not written in place after construction: contains reads an
+    edge table built from it on first use and kept for the polygon's life.
+    """
 
     ring: np.ndarray
 
@@ -55,6 +60,14 @@ class ClusterPolygon:
     def area_km2(self) -> float:
         """Shoelace area of the ring in km², non-negative regardless of orientation."""
         return abs(_ring_signed_area_m2(self.ring[:-1])) / 1e6
+
+    @functools.cached_property
+    def _edges(self) -> list[tuple[float, ...]]:
+        """Per edge: its box widened by 1 m as (ylo, yhi, xlo, xhi), then x1, y1, x2, y2."""
+        return [
+            (min(y1, y2) - 1.0, max(y1, y2) + 1.0, min(x1, x2) - 1.0, max(x1, x2) + 1.0, x1, y1, x2, y2)
+            for (x1, y1), (x2, y2) in itertools.pairwise(self.ring.tolist())
+        ]
 
 
 def valid_lonlat(lon, lat):
@@ -192,11 +205,19 @@ def polygon_area_km2(p: ClusterPolygon) -> float:
 
 
 def contains(p: ClusterPolygon, pt) -> bool:
-    """Ray-casting point-in-polygon test on an (x, y) pair; boundary points count as inside."""
+    """Ray-casting point-in-polygon test on an (x, y) pair; boundary points count as inside.
+
+    An edge whose box, widened by 1 m, lies above or below the point can be
+    neither crossed nor within _BOUNDARY_EPS_M of it, so it is skipped; one
+    beside the point is tested for crossing only. NaN fails every comparison
+    and takes the full test.
+    """
     x, y = pt
     inside = False
-    for (x1, y1), (x2, y2) in itertools.pairwise(p.ring.tolist()):
-        if _on_segment(x, y, x1, y1, x2, y2):
+    for ylo, yhi, xlo, xhi, x1, y1, x2, y2 in p._edges:
+        if y < ylo or y > yhi:
+            continue
+        if not (x < xlo or x > xhi) and _on_segment(x, y, x1, y1, x2, y2):
             return True
         if (y1 > y) != (y2 > y):
             x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)

@@ -25,7 +25,16 @@ import numpy as np
 
 from .core import ApcConfig, estimate_apc_memory_gb, run_apc
 from .errors import ConvergenceError, DerivationError, FormatError, InputError, ResourceLimitError
-from .geo import DEFAULT_BUFFER_M, GeoPoint, centroid, check_buffer_m, project, unproject, valid_lonlat
+from .geo import (
+    DEFAULT_BUFFER_M,
+    MAX_SUPPORTED_LAT_DEG,
+    GeoPoint,
+    centroid,
+    check_buffer_m,
+    project,
+    unproject,
+    valid_lonlat,
+)
 from .units import ScaleThresholds, SweepCell, UnitOfAnalysis, build_units, derive_meso_threshold
 
 log = logging.getLogger("apclust")
@@ -121,13 +130,7 @@ def ingest_crashes(path) -> IngestResult:
     with open(path, newline="", encoding="utf-8-sig", errors="replace") as f:
         reader = csv.reader(f)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise FormatError(f"{path}: empty file, expected a header with lat and lon")
-            columns = {name.strip().lower(): i for i, name in enumerate(header)}
-            if "lat" not in columns or "lon" not in columns:
-                raise FormatError(f"{path}: header must contain lat and lon columns, got {header}")
-            lat_i, lon_i = columns["lat"], columns["lon"]
+            lat_i, lon_i = _coordinate_columns(reader, path)
             for row in reader:
                 if not row:
                     continue
@@ -152,12 +155,38 @@ def ingest_crashes(path) -> IngestResult:
     return IngestResult(lonlat=rows[keep], n_rows=n_rows, n_dropped=n_dropped)
 
 
+def _coordinate_columns(reader, path) -> tuple[int, int]:
+    """Indices of the lat and lon columns, read from the header row."""
+    header = next(reader, None)
+    if header is None:
+        raise FormatError(f"{path}: empty file, expected a header with lat and lon")
+    columns = {name.strip().lower(): i for i, name in enumerate(header)}
+    if "lat" not in columns or "lon" not in columns:
+        raise FormatError(f"{path}: header must contain lat and lon columns, got {header}")
+    return columns["lat"], columns["lon"]
+
+
+def _first_polar_row(path) -> tuple[int, float] | None:
+    """File line and latitude of the first row ingest_crashes keeps whose latitude project refuses."""
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as f:
+        reader = csv.reader(f)
+        lat_i, lon_i = _coordinate_columns(reader, path)
+        for row in reader:
+            try:
+                lon, lat = float(row[lon_i]), float(row[lat_i])
+            except (IndexError, ValueError):
+                continue
+            if valid_lonlat(lon, lat) and abs(lat) > MAX_SUPPORTED_LAT_DEG:
+                return reader.line_num, lat
+    return None
+
+
 def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoint]:
     """Ingest a points file and project it to planar meters around origin.
 
     The origin defaults to the file's own centroid. Only the planar array
     is kept: the lon/lat array is freed on return rather than held through
-    the clustering runs. A refused coordinate names the file.
+    the clustering runs. A refused coordinate names the file and its line.
     """
     rows = ingest_crashes(path)
     if origin is None:
@@ -165,8 +194,11 @@ def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoi
     try:
         return project(rows.lonlat, origin), origin
     except InputError as exc:
-        # project numbers points from 0 among the rows ingest kept, not by file line.
-        raise InputError(f"{path}: {str(exc).replace('point', 'kept row', 1)}") from exc
+        # project numbers points among the rows ingest kept; only this path reads the file again for the line.
+        polar = _first_polar_row(path)
+        if polar is None:  # the origin itself was refused
+            raise InputError(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: line {polar[0]}: latitude {polar[1]} beyond supported range") from exc
 
 
 def _sample_indices(n: int, k: int, seed) -> np.ndarray:

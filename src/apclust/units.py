@@ -79,8 +79,9 @@ def classify_level(median_intersections: float, t: ScaleThresholds = ScaleThresh
 def count_intersections(ua_polygons: list[ClusterPolygon], intersections) -> list[int]:
     """Intersection points contained in each polygon (boundary-inclusive).
 
-    A point inside two overlapping polygons counts in both. Linear scan
-    with a bounding-box pre-filter per polygon.
+    A point inside two overlapping polygons counts in both. Linear scan:
+    a bounding box per polygon picks the candidates, then contains tests
+    each one, skipping the edges whose boxes lie above or below it.
     """
     xy = planar_to_array(intersections if intersections is not None else []).reshape(-1, 2)
     counts = []

@@ -25,12 +25,54 @@ from apclust.geo import (
     project,
     unproject,
 )
-from references import reference_mean, reference_project
+from references import ReferencePolygon, reference_contains, reference_mean, reference_project
 
 ORIGIN = GeoPoint(lon=-51.2, lat=-30.0)
 # Whole valid ranges, signed zeros and the polar band included.
 LONS = st.one_of(st.floats(min_value=-180.0, max_value=180.0), st.sampled_from([-0.0, -51.2, -51.2000001]))
 LATS = st.one_of(st.floats(min_value=-90.0, max_value=90.0), st.sampled_from([-0.0, -30.0, 89.9, 89.95]))
+
+
+# Ring centres out to +-2e7 m, where one ulp is about 4e-9 m.
+CENTRES = st.one_of(st.sampled_from([0.0, -2e7, 2e7, 1e6]), st.floats(min_value=-2e7, max_value=2e7))
+# Perpendicular offsets from an edge around _BOUNDARY_EPS_M (1e-9 m) and the 1 m edge-box margin.
+EDGE_OFFSETS_M = (0.0, 1e-10, 1e-9, 2e-9, 0.999, 1.0, 1.001)
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def hard_rings(draw) -> np.ndarray:
+    """A closed ring near a far centre: a polygonize hull, or hand-built with repeats and horizontal edges."""
+    cx, cy = draw(CENTRES), draw(CENTRES)
+    if draw(st.booleans()):
+        local = st.floats(min_value=-500.0, max_value=500.0)
+        members = draw(st.lists(st.tuples(local, local), min_size=1, max_size=8))
+        ring = polygonize(np.array(members)).ring
+    else:
+        # Few grid values: vertices repeat (zero-length edges) and share a y (horizontal edges).
+        step = draw(st.sampled_from([0.5, 1.0, 7.0, 100.0]))
+        grid = st.integers(min_value=-2, max_value=2).map(lambda v: step * v)
+        verts = draw(st.lists(st.tuples(grid, grid), min_size=1, max_size=8))
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            verts[0] = (draw(st.sampled_from(NON_FINITE)), verts[0][1])
+        ring = np.array(verts + verts[:1], dtype=np.float64)
+    return ring + np.array([cx, cy])
+
+
+def points_near_edges(ring: np.ndarray, along: float) -> list[tuple[float, float]]:
+    """Vertices, points off each edge at EDGE_OFFSETS_M (either side, beyond both ends) and non-finite points."""
+    pts = []
+    for (x1, y1), (x2, y2) in zip(ring[:-1].tolist(), ring[1:].tolist()):
+        dx, dy = x2 - x1, y2 - y1
+        length = math.hypot(dx, dy)
+        ux, uy = (dx / length, dy / length) if 0 < length < math.inf else (1.0, 0.0)
+        for d in EDGE_OFFSETS_M:
+            for t in (0.0, 0.5, 1.0, along):
+                for side in (1.0, -1.0):
+                    pts.append((x1 + t * dx - side * d * uy, y1 + t * dy + side * d * ux))
+            pts += [(x1 - d * ux, y1 - d * uy), (x2 + d * ux, y2 + d * uy), (x2 + d * (ux - uy), y2 + d * (uy + ux))]
+        pts += [(v, y1) for v in NON_FINITE] + [(x1, v) for v in NON_FINITE] + [(v, v) for v in NON_FINITE]
+    return pts
 
 
 def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
@@ -226,3 +268,12 @@ class TestContains:
     def test_just_outside_edge(self):
         p = square_ring(10.0)
         assert not contains(p, PlanarPoint(10.0 + 1e-6, 5.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hard_rings(), st.floats(min_value=-0.5, max_value=1.5))
+    def test_matches_reference_near_edges(self, ring, along):
+        poly = ClusterPolygon(ring=ring)
+        # reference_contains reads only the ring.
+        ref = ReferencePolygon(ring=[PlanarPoint(x, y) for x, y in ring.tolist()], area_km2=math.nan)
+        for pt in points_near_edges(ring, along):
+            assert contains(poly, pt) == reference_contains(ref, PlanarPoint(*pt)), pt

@@ -675,7 +675,23 @@ class TestCli:
         argv = ["cluster", "--q", "0.5", "--input", str(files["--input"]), "--intersections", str(files["--intersections"])]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"error: {polar}: kept row 2: latitude 89.95 beyond supported range" in err
+        assert f"error: {polar}: line 5: latitude 89.95 beyond supported range" in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # A quoted two-line field, a blank line, a short row and an out-of-range row come first.
+            ('note,lat,lon\n"a\nb",-30.0,-51.2\n\nz\nz,95,1\nq,-89.95,-51.2\n', "line 7: latitude -89.95"),
+            # No row is polar, but their mean rounds past 89.9: the origin is refused.
+            ("lat,lon\n89.9,1\n89.9,1\n89.9,1\n", "latitude 89.90000000000002 beyond supported range (|lat| <= 89.9)"),
+        ],
+        ids=["rows-dropped-before", "origin-refused"],
+    )
+    def test_polar_line_counts_the_file_lines(self, tmp_path, capsys, text, message):
+        polar = tmp_path / "polar.csv"
+        polar.write_text(text)
+        assert main(["cluster", "--q", "0.5", "--input", str(polar)]) == 2
+        assert f"error: {polar}: {message}" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["cluster", "--input", str(tmp_path / "nope.csv"), "--q", "0.5"]) == 2

@@ -16,7 +16,7 @@ from apclust.units import (
     count_intersections,
     derive_meso_threshold,
 )
-from apclust.geo import PlanarPoint, contains, polygonize
+from apclust.geo import ClusterPolygon, PlanarPoint, contains, polygonize
 from references import reference_count_intersections, reference_polygonize
 
 COORDS = st.floats(min_value=-2000.0, max_value=2000.0)
@@ -95,6 +95,20 @@ class TestCountIntersections:
         a = polygonize(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]))
         b = polygonize(np.array([[5.0, 0.0], [15.0, 0.0], [15.0, 10.0], [5.0, 10.0]]))
         assert count_intersections([a, b], np.array([[7.0, 5.0]])) == [1, 1]
+
+    def test_edge_table_built_once_per_polygon(self, monkeypatch):
+        # A rebuild per contains call would cost more than the edge boxes save.
+        table = ClusterPolygon.__dict__["_edges"]
+        build = table.func
+        built = []
+        monkeypatch.setattr(table, "func", lambda poly: built.append(poly) or build(poly))
+        rng = np.random.default_rng(3)
+        polys = [polygonize(rng.normal(c, 100.0, size=(12, 2))) for c in (0.0, 150.0, 2000.0, -900.0)]
+        pts = rng.uniform(-1200.0, 2300.0, size=(5000, 2))
+        first = count_intersections(polys, pts)
+        assert count_intersections(polys, pts) == first
+        assert sum(first) > 100
+        assert sorted(map(id, built)) == sorted(map(id, polys))
 
 
 class TestPolygonsMatchReference:
