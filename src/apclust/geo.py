@@ -199,11 +199,6 @@ def polygonize(members, buffer_m: float = DEFAULT_BUFFER_M) -> ClusterPolygon:
     return ClusterPolygon(ring=np.vstack([hull, hull[:1]]))
 
 
-def polygon_area_km2(p: ClusterPolygon) -> float:
-    """The polygon's area in km² (see ClusterPolygon.area_km2)."""
-    return p.area_km2
-
-
 def contains(p: ClusterPolygon, pt) -> bool:
     """Ray-casting point-in-polygon test on an (x, y) pair; boundary points count as inside.
 

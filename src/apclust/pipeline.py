@@ -103,6 +103,8 @@ class IngestResult:
     lonlat: np.ndarray
     n_rows: int
     n_dropped: int
+    # File line and latitude of the first kept row that project refuses, beyond +-MAX_SUPPORTED_LAT_DEG.
+    polar_row: tuple[int, float] | None = None
 
     @property
     def points(self) -> list[GeoPoint]:
@@ -118,6 +120,7 @@ def ingest_crashes(path) -> IngestResult:
     a coordinate float() cannot parse, or outside geo.valid_lonlat are
     dropped and counted in a logged warning. Text the csv module cannot
     read, such as a field over csv.field_size_limit(), is a FormatError.
+    The first kept row beyond the supported latitude band is noted in polar_row.
     """
     path = Path(path)
     if not path.exists():
@@ -126,11 +129,18 @@ def ingest_crashes(path) -> IngestResult:
     lonlat = array("d")
     n_rows = 0
     n_dropped = 0
+    polar_row = None
     # Only lat and lon are parsed, so an undecodable byte elsewhere must not end the run.
     with open(path, newline="", encoding="utf-8-sig", errors="replace") as f:
         reader = csv.reader(f)
         try:
-            lat_i, lon_i = _coordinate_columns(reader, path)
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file, expected a header with lat and lon")
+            columns = {name.strip().lower(): i for i, name in enumerate(header)}
+            if "lat" not in columns or "lon" not in columns:
+                raise FormatError(f"{path}: header must contain lat and lon columns, got {header}")
+            lat_i, lon_i = columns["lat"], columns["lon"]
             for row in reader:
                 if not row:
                     continue
@@ -142,6 +152,9 @@ def ingest_crashes(path) -> IngestResult:
                     continue
                 lonlat.append(x)
                 lonlat.append(y)
+                # The band test first: it alone fails on almost every row.
+                if abs(y) > MAX_SUPPORTED_LAT_DEG and polar_row is None and valid_lonlat(x, y):
+                    polar_row = (reader.line_num, y)
         except csv.Error as exc:
             # csv.field_size_limit() is global to the process: leave it, and refuse an over-long field.
             raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
@@ -152,33 +165,7 @@ def ingest_crashes(path) -> IngestResult:
         log.warning("%s: dropped %d of %d rows with invalid coordinates", path, n_dropped, n_rows)
     if n_dropped == n_rows:
         raise InputError(f"{path}: no valid coordinate rows")
-    return IngestResult(lonlat=rows[keep], n_rows=n_rows, n_dropped=n_dropped)
-
-
-def _coordinate_columns(reader, path) -> tuple[int, int]:
-    """Indices of the lat and lon columns, read from the header row."""
-    header = next(reader, None)
-    if header is None:
-        raise FormatError(f"{path}: empty file, expected a header with lat and lon")
-    columns = {name.strip().lower(): i for i, name in enumerate(header)}
-    if "lat" not in columns or "lon" not in columns:
-        raise FormatError(f"{path}: header must contain lat and lon columns, got {header}")
-    return columns["lat"], columns["lon"]
-
-
-def _first_polar_row(path) -> tuple[int, float] | None:
-    """File line and latitude of the first row ingest_crashes keeps whose latitude project refuses."""
-    with open(path, newline="", encoding="utf-8-sig", errors="replace") as f:
-        reader = csv.reader(f)
-        lat_i, lon_i = _coordinate_columns(reader, path)
-        for row in reader:
-            try:
-                lon, lat = float(row[lon_i]), float(row[lat_i])
-            except (IndexError, ValueError):
-                continue
-            if valid_lonlat(lon, lat) and abs(lat) > MAX_SUPPORTED_LAT_DEG:
-                return reader.line_num, lat
-    return None
+    return IngestResult(lonlat=rows[keep], n_rows=n_rows, n_dropped=n_dropped, polar_row=polar_row)
 
 
 def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoint]:
@@ -186,19 +173,18 @@ def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoi
 
     The origin defaults to the file's own centroid. Only the planar array
     is kept: the lon/lat array is freed on return rather than held through
-    the clustering runs. A refused coordinate names the file and its line.
+    the clustering runs. A kept row beyond the supported latitude band is
+    refused by its file line; a file whose rows all lie within it is not.
     """
     rows = ingest_crashes(path)
+    if rows.polar_row is not None:
+        line, lat = rows.polar_row
+        raise InputError(f"{path}: line {line}: latitude {lat} beyond supported range")
     if origin is None:
         origin = centroid(rows.lonlat)
-    try:
-        return project(rows.lonlat, origin), origin
-    except InputError as exc:
-        # project numbers points among the rows ingest kept; only this path reads the file again for the line.
-        polar = _first_polar_row(path)
-        if polar is None:  # the origin itself was refused
-            raise InputError(f"{path}: {exc}") from exc
-        raise InputError(f"{path}: line {polar[0]}: latitude {polar[1]} beyond supported range") from exc
+        # Every row lies within the band, so only rounding can carry their mean past it.
+        origin = replace(origin, lat=min(max(origin.lat, -MAX_SUPPORTED_LAT_DEG), MAX_SUPPORTED_LAT_DEG))
+    return project(rows.lonlat, origin), origin
 
 
 def _sample_indices(n: int, k: int, seed) -> np.ndarray:

@@ -70,12 +70,16 @@ def reference_availabilities(r: np.ndarray, a: np.ndarray, damping: float) -> No
     a += raw
 
 
-def reference_ingest(path) -> tuple[list[GeoPoint], int, int]:
-    """Kept points, rows read and rows dropped, from csv.DictReader and one GeoPoint per row."""
+def reference_ingest(path) -> tuple[list[GeoPoint], int, int, tuple[int, float] | None]:
+    """Kept points, rows read, rows dropped, and the (line, lat) of the first kept point beyond the band.
+
+    Read with csv.DictReader, one GeoPoint per row.
+    """
     path = Path(path)
     points: list[GeoPoint] = []
     n_rows = 0
     n_dropped = 0
+    polar_row = None
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None:
@@ -91,9 +95,12 @@ def reference_ingest(path) -> tuple[list[GeoPoint], int, int]:
                 points.append(GeoPoint(lon=float(row[lon_col]), lat=float(row[lat_col])))
             except (TypeError, ValueError, InputError):
                 n_dropped += 1
+                continue
+            if polar_row is None and abs(points[-1].lat) > MAX_SUPPORTED_LAT_DEG:
+                polar_row = (reader.line_num, points[-1].lat)
     if not points:
         raise InputError(f"{path}: no valid coordinate rows")
-    return points, n_rows, n_dropped
+    return points, n_rows, n_dropped, polar_row
 
 
 def reference_mean(values) -> float:

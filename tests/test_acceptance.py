@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from apclust.core import ApcConfig, build_similarity, apply_preference, run_apc, run_apc_on_matrix, set_preference
-from apclust.geo import GeoPoint, PlanarPoint, contains, planar_to_array, polygon_area_km2, polygonize, project, unproject
+from apclust.geo import GeoPoint, PlanarPoint, contains, planar_to_array, polygonize, project, unproject
 from apclust.pipeline import RunManifest, run_sweep
 from apclust.testkit import BLOB_FRAME_ORIGIN, SyntheticSpec, brute_force_exemplars, generate_blobs, write_points_csv
 from apclust.units import build_units, classify_level
@@ -165,15 +165,15 @@ def test_criterion_6_geometry_suite():
     assert worst < 1e-9
 
     square = polygonize(np.array([[0.0, 0.0], [100.0, 0.0], [100.0, 100.0], [0.0, 100.0]]))
-    assert polygon_area_km2(square) == pytest.approx(0.01, rel=1e-9)
+    assert square.area_km2 == pytest.approx(0.01, rel=1e-9)
     triangle = polygonize(np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]]))
-    assert polygon_area_km2(triangle) == pytest.approx(6.0 / 1e6, rel=1e-9)
+    assert triangle.area_km2 == pytest.approx(6.0 / 1e6, rel=1e-9)
     hexagon = polygonize(
         np.array(
             [[1000.0 * math.cos(k * math.pi / 3), 1000.0 * math.sin(k * math.pi / 3)] for k in range(6)]
         )
     )
-    assert polygon_area_km2(hexagon) == pytest.approx(1.5 * math.sqrt(3.0), rel=1e-9)
+    assert hexagon.area_km2 == pytest.approx(1.5 * math.sqrt(3.0), rel=1e-9)
 
     contained = 0
     total = 0

@@ -20,7 +20,6 @@ from apclust.geo import (
     centroid,
     contains,
     planar_to_array,
-    polygon_area_km2,
     polygonize,
     project,
     unproject,
@@ -176,12 +175,12 @@ def square_ring(side: float) -> ClusterPolygon:
 
 class TestAreas:
     def test_unit_square(self):
-        assert polygon_area_km2(square_ring(1.0)) == pytest.approx(1e-6, rel=1e-9)
+        assert square_ring(1.0).area_km2 == pytest.approx(1e-6, rel=1e-9)
 
     def test_345_triangle(self):
         ring = [PlanarPoint(0.0, 0.0), PlanarPoint(3.0, 0.0), PlanarPoint(3.0, 4.0), PlanarPoint(0.0, 0.0)]
         p = ClusterPolygon(ring=planar_to_array(ring))
-        assert polygon_area_km2(p) == pytest.approx(6.0 / 1e6, rel=1e-9)
+        assert p.area_km2 == pytest.approx(6.0 / 1e6, rel=1e-9)
 
     def test_regular_hexagon(self):
         r = 1000.0
@@ -191,12 +190,12 @@ class TestAreas:
         ring.append(ring[0])
         p = ClusterPolygon(ring=planar_to_array(ring))
         expected = 3.0 * math.sqrt(3.0) / 2.0 * r * r / 1e6
-        assert polygon_area_km2(p) == pytest.approx(expected, rel=1e-9)
+        assert p.area_km2 == pytest.approx(expected, rel=1e-9)
 
     def test_orientation_independent(self):
         p = square_ring(10.0)
         q = ClusterPolygon(ring=p.ring[::-1])
-        assert polygon_area_km2(q) == polygon_area_km2(p)
+        assert q.area_km2 == p.area_km2
 
 
 class TestPolygonize:

@@ -64,6 +64,8 @@ def intersections_csv(tmp_path):
 FIELDS = st.one_of(
     st.floats(min_value=-200.0, max_value=200.0).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "", "abc", " -30.5 ", '"-51.2"', "-0.0", "1e1", "1_0", "180", "-90", "90.5"]),
+    # The supported band's edges, and a quoted field spanning two file lines.
+    st.sampled_from(["89.9", "-89.95", "90", '"89.95\n"', '"a\nb"']),
 )
 # "latitude" and "lng" do not match, so some headers lack a coordinate column.
 LAT_NAMES = st.sampled_from(["lat", "LAT", " Lat ", "latitude"])
@@ -173,7 +175,7 @@ class TestIngest:
         path = tmp_path / "fuzzed.csv"
         path.write_bytes(text.encode())
         try:
-            points, n_rows, n_dropped = reference_ingest(path)
+            points, n_rows, n_dropped, polar_row = reference_ingest(path)
         except (FormatError, InputError) as exc:
             with pytest.raises(type(exc)):
                 ingest_crashes(path)
@@ -183,6 +185,7 @@ class TestIngest:
         assert result.lonlat.shape == (len(points), 2)
         assert result.lonlat.tobytes() == np.array([(p.lon, p.lat) for p in points], dtype=np.float64).tobytes()
         assert result.points == points
+        assert result.polar_row == polar_row
 
     def test_memory_per_row(self, tmp_path):
         n = 50_000
@@ -667,31 +670,48 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("polar_file", ["--input", "--intersections"])
-    def test_polar_row_names_its_file_exit_2(self, crash_csv, tmp_path, capsys, polar_file):
+    def test_polar_row_names_its_file_exit_2(self, crash_csv, tmp_path, capsys, monkeypatch, polar_file):
         # 89.95 is a valid latitude, so ingest keeps the row; the projection refuses it.
         polar = tmp_path / "polar.csv"
         polar.write_text("lat,lon\nnan,-51.2\n-30.0,-51.2\n-30.01,-51.21\n89.95,-51.2\n")
         files = {"--input": crash_csv, "--intersections": crash_csv, polar_file: polar}
         argv = ["cluster", "--q", "0.5", "--input", str(files["--input"]), "--intersections", str(files["--intersections"])]
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "open", counting_open, raising=False)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"error: {polar}: line 5: latitude 89.95 beyond supported range" in err
+        # The line is found in the one read that ingests the file.
+        assert opened.count(polar) == 1
+        assert len(opened) == len(set(opened))
 
     @pytest.mark.parametrize(
         "text,message",
         [
             # A quoted two-line field, a blank line, a short row and an out-of-range row come first.
             ('note,lat,lon\n"a\nb",-30.0,-51.2\n\nz\nz,95,1\nq,-89.95,-51.2\n', "line 7: latitude -89.95"),
-            # No row is polar, but their mean rounds past 89.9: the origin is refused.
-            ("lat,lon\n89.9,1\n89.9,1\n89.9,1\n", "latitude 89.90000000000002 beyond supported range (|lat| <= 89.9)"),
         ],
-        ids=["rows-dropped-before", "origin-refused"],
+        ids=["rows-dropped-before"],
     )
     def test_polar_line_counts_the_file_lines(self, tmp_path, capsys, text, message):
         polar = tmp_path / "polar.csv"
         polar.write_text(text)
         assert main(["cluster", "--q", "0.5", "--input", str(polar)]) == 2
         assert f"error: {polar}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lat", [89.9, -89.9])
+    def test_rows_at_the_band_edge_accepted(self, tmp_path, lat):
+        # Three rows of 89.9 have a left-to-right mean of 89.90000000000002:
+        # no row is out of the band, so the origin is held at its edge.
+        path = tmp_path / "edge.csv"
+        path.write_text(f"lat,lon\n{lat},1\n{lat},1\n{lat},1\n")
+        assert main(["cluster", "--q", "0.5", "--input", str(path)]) == 0
+        assert pipeline._ingest_xy(path)[1].lat == lat
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["cluster", "--input", str(tmp_path / "nope.csv"), "--q", "0.5"]) == 2
