@@ -36,11 +36,14 @@ from .geo import planar_to_array
 # Scratch budget per row block: the message-passing kernel's block holds as
 # many rows as fit in this many bytes of float64 (at least one), and the
 # distance construction's (rows, n, 2) differences fit in the same budget.
-_SCRATCH_BYTES = 2**20
+# Each kernel pass touches four blocks of this size (scratch and the rows of
+# S, R and A), so 512 KiB keeps a pass within a 2 MiB per-core L2.
+_SCRATCH_BYTES = 2**19
 # Length-n float vectors a run holds next to its matrices (column support,
 # decision criterion, decision flags), with room to spare, and a fixed
 # allowance for interpreter and allocator overhead. Measured on Linux with
-# glibc: at most 200 KiB above the matrices and scratch for n up to 4000.
+# glibc: at most 250 KiB above the matrices and scratch for n up to 4000,
+# with or without jitter, which the vectors' 8 * n floats already cover.
 _RUN_VECTORS = 8
 _RUN_OVERHEAD_BYTES = 2**19
 

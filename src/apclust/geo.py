@@ -97,13 +97,17 @@ def centroid(points) -> GeoPoint:
     Sums left to right from 0, as Python 3.11's sum() does, so the origin's
     bits do not depend on the Python version: np.sum adds pairwise and
     3.12's sum() compensates, and either changes every output downstream.
+
+    The latitude is clamped to +-MAX_SUPPORTED_LAT_DEG: over rows within it
+    only rounding can carry the mean past (three rows of 89.9 average
+    89.90000000000002). project refuses rows beyond it by row, not by origin.
     """
     lonlat = _lonlat(points)
     if lonlat.shape[0] == 0:
         raise InputError("cannot take the centroid of no points")
     # Starting from 0.0, as sum() does, makes an all -0.0 sum +0.0.
     mean_lon, mean_lat = ((0.0 + float(np.add.accumulate(v)[-1])) / v.size for v in lonlat.T)
-    return GeoPoint(lon=mean_lon, lat=mean_lat)
+    return GeoPoint(lon=mean_lon, lat=min(max(mean_lat, -MAX_SUPPORTED_LAT_DEG), MAX_SUPPORTED_LAT_DEG))
 
 
 def project(points, origin: GeoPoint) -> np.ndarray:

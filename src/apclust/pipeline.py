@@ -182,8 +182,6 @@ def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoi
         raise InputError(f"{path}: line {line}: latitude {lat} beyond supported range")
     if origin is None:
         origin = centroid(rows.lonlat)
-        # Every row lies within the band, so only rounding can carry their mean past it.
-        origin = replace(origin, lat=min(max(origin.lat, -MAX_SUPPORTED_LAT_DEG), MAX_SUPPORTED_LAT_DEG))
     return project(rows.lonlat, origin), origin
 
 

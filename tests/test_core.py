@@ -392,6 +392,7 @@ class TestKernelMatchesReference:
             (10, 3, 1e-6),
             (10, 4, 1.0),  # blocks of 4, 4 and a ragged 2
             (7, 9, 0.0),  # one block larger than the matrix
+            (300, core._block_rows(300), 0.0),  # the shipped layout at 300 points: 218 rows, then 82
         ],
     )
     def test_block_layouts(self, n, block, jitter):

@@ -14,6 +14,7 @@ from scipy.spatial import ConvexHull
 from apclust.errors import InputError
 from apclust.geo import (
     EARTH_RADIUS_M,
+    MAX_SUPPORTED_LAT_DEG,
     ClusterPolygon,
     GeoPoint,
     PlanarPoint,
@@ -146,8 +147,10 @@ class TestProjection:
     @given(st.lists(st.tuples(LONS, LATS), min_size=1, max_size=30))
     def test_centroid_matches_left_to_right_loop(self, coords):
         c = centroid([GeoPoint(lon, lat) for lon, lat in coords])
+        # The latitude is held within the supported band.
+        mean_lat = min(max(reference_mean([lat for _, lat in coords]), -MAX_SUPPORTED_LAT_DEG), MAX_SUPPORTED_LAT_DEG)
         assert c.lon.hex() == reference_mean([lon for lon, _ in coords]).hex()
-        assert c.lat.hex() == reference_mean([lat for _, lat in coords]).hex()
+        assert c.lat.hex() == mean_lat.hex()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(LONS, LATS), max_size=30), st.tuples(LONS, LATS))

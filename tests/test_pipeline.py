@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import apclust
@@ -25,7 +25,7 @@ from apclust import cli, pipeline
 from apclust.cli import build_parser, main
 from apclust.core import ApcConfig, run_apc
 from apclust.errors import ConvergenceError, FormatError, InputError, ResourceLimitError
-from apclust.geo import GeoPoint, unproject
+from apclust.geo import MAX_SUPPORTED_LAT_DEG, GeoPoint, centroid, project, unproject
 from apclust.pipeline import (
     RunManifest,
     estimate_apc_memory_gb,
@@ -83,6 +83,16 @@ def dirty_csv(draw) -> str:
         width = draw(st.sampled_from([len(header)] * 4 + [0, max(0, len(header) - 1), len(header) + 1]))
         lines.append(",".join(draw(st.lists(FIELDS, min_size=width, max_size=width))))
     return eol.join(lines) + eol
+
+
+@st.composite
+def in_band_csv(draw) -> str:
+    """A clean points file whose latitudes all lie within the supported band, often at one edge of it."""
+    edge = draw(st.sampled_from([MAX_SUPPORTED_LAT_DEG, -MAX_SUPPORTED_LAT_DEG]))
+    lat = st.one_of(st.just(edge), st.floats(min_value=-MAX_SUPPORTED_LAT_DEG, max_value=MAX_SUPPORTED_LAT_DEG))
+    lon = st.floats(min_value=-180.0, max_value=180.0)
+    rows = draw(st.lists(st.tuples(lat, lon), min_size=1, max_size=20))
+    return "lat,lon\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows)
 
 
 class TestIngest:
@@ -186,6 +196,19 @@ class TestIngest:
         assert result.lonlat.tobytes() == np.array([(p.lon, p.lat) for p in points], dtype=np.float64).tobytes()
         assert result.points == points
         assert result.polar_row == polar_row
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(in_band_csv())
+    @example("lat,lon\n89.9,1\n89.9,1\n89.9,1\n")
+    def test_library_recipe_takes_the_command_line_frame(self, tmp_path, text):
+        # The README recipe and the command line project a file the same way, bit for bit.
+        path = tmp_path / "in-band.csv"
+        path.write_text(text)
+        lonlat = ingest_crashes(path).lonlat
+        origin = centroid(lonlat)
+        xy, cli_origin = pipeline._ingest_xy(path)
+        assert (cli_origin.lon.hex(), cli_origin.lat.hex()) == (origin.lon.hex(), origin.lat.hex())
+        assert xy.tobytes() == project(lonlat, origin).tobytes()
 
     def test_memory_per_row(self, tmp_path):
         n = 50_000
