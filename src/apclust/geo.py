@@ -29,7 +29,7 @@ _BOUNDARY_EPS_M = 1e-9
 
 @dataclass(frozen=True)
 class GeoPoint:
-    """A WGS84 coordinate in decimal degrees (EPSG:4326), longitude first."""
+    """One validated WGS84 coordinate in decimal degrees (EPSG:4326), longitude first, such as an origin."""
 
     lon: float
     lat: float
@@ -84,15 +84,8 @@ def _check_lat(lat: float) -> None:
         raise InputError(f"latitude {lat} beyond supported range (|lat| <= {MAX_SUPPORTED_LAT_DEG})")
 
 
-def _lonlat(points) -> np.ndarray:
-    """(n, 2) float array of (lon, lat) rows from GeoPoints; an array passes through uncopied."""
-    if isinstance(points, np.ndarray):
-        return points
-    return np.array([(p.lon, p.lat) for p in points], dtype=np.float64).reshape(-1, 2)
-
-
-def centroid(points) -> GeoPoint:
-    """Arithmetic mean of GeoPoints or (lon, lat) rows; the conventional projection origin.
+def centroid(lonlat) -> GeoPoint:
+    """Arithmetic mean of (n, 2) (lon, lat) rows; the conventional projection origin.
 
     Sums left to right from 0, as Python 3.11's sum() does, so the origin's
     bits do not depend on the Python version: np.sum adds pairwise and
@@ -102,7 +95,7 @@ def centroid(points) -> GeoPoint:
     only rounding can carry the mean past (three rows of 89.9 average
     89.90000000000002). project refuses rows beyond it by row, not by origin.
     """
-    lonlat = _lonlat(points)
+    lonlat = np.asarray(lonlat, dtype=np.float64)
     if lonlat.shape[0] == 0:
         raise InputError("cannot take the centroid of no points")
     # Starting from 0.0, as sum() does, makes an all -0.0 sum +0.0.
@@ -110,13 +103,13 @@ def centroid(points) -> GeoPoint:
     return GeoPoint(lon=mean_lon, lat=min(max(mean_lat, -MAX_SUPPORTED_LAT_DEG), MAX_SUPPORTED_LAT_DEG))
 
 
-def project(points, origin: GeoPoint) -> np.ndarray:
-    """Project GeoPoints or (lon, lat) rows to an (n, 2) array of local planar meters around origin.
+def project(lonlat, origin: GeoPoint) -> np.ndarray:
+    """Project (n, 2) (lon, lat) rows to an (n, 2) array of local planar meters around origin.
 
     x = R * dlon_rad * cos(lat_origin), y = R * dlat_rad.
     """
     _check_lat(origin.lat)
-    lon, lat = _lonlat(points).T
+    lon, lat = np.asarray(lonlat, dtype=np.float64).T
     polar = np.flatnonzero(np.abs(lat) > MAX_SUPPORTED_LAT_DEG)
     if polar.size:
         i = int(polar[0])
@@ -128,14 +121,21 @@ def project(points, origin: GeoPoint) -> np.ndarray:
     return xy
 
 
-def unproject(points, origin: GeoPoint) -> list[GeoPoint]:
-    """Inverse of project; round-trips within 1e-9 degrees near the origin."""
+def unproject(points, origin: GeoPoint) -> np.ndarray:
+    """Inverse of project, to (n, 2) (lon, lat) rows; round-trips within 1e-9 degrees near the origin.
+
+    The first row outside valid_lonlat, such as a vertex buffered past a pole, is refused by index.
+    """
     _check_lat(origin.lat)
     cos0 = math.cos(math.radians(origin.lat))
     xy = planar_to_array(points).reshape(-1, 2)
-    lon = origin.lon + np.degrees(xy[:, 0] / (EARTH_RADIUS_M * cos0))
-    lat = origin.lat + np.degrees(xy[:, 1] / EARTH_RADIUS_M)
-    return [GeoPoint(lon=x, lat=y) for x, y in zip(lon.tolist(), lat.tolist())]
+    lonlat = np.degrees(xy / (EARTH_RADIUS_M * cos0, EARTH_RADIUS_M)) + (origin.lon, origin.lat)
+    bad = np.flatnonzero(~valid_lonlat(*lonlat.T))
+    if bad.size:
+        i = int(bad[0])
+        lon, lat = lonlat[i].tolist()
+        raise InputError(f"point {i}: coordinate ({lon}, {lat}) outside lon [-180, 180], lat [-90, 90]")
+    return lonlat
 
 
 def planar_to_array(points) -> np.ndarray:

@@ -106,11 +106,6 @@ class IngestResult:
     # File line and latitude of the first kept row that project refuses, beyond +-MAX_SUPPORTED_LAT_DEG.
     polar_row: tuple[int, float] | None = None
 
-    @property
-    def points(self) -> list[GeoPoint]:
-        """The kept rows as GeoPoints, built on each access."""
-        return [GeoPoint(lon=x, lat=y) for x, y in self.lonlat.tolist()]
-
 
 def ingest_crashes(path) -> IngestResult:
     """Read lat/lon decimal-degree points from header-keyed delimited text.
@@ -277,7 +272,6 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
                 inter_xy,
                 thresholds,
                 q=q,
-                sample_size=k,
                 buffer_m=manifest.buffer_m,
             )
         except MemoryError as exc:
@@ -331,8 +325,7 @@ def export_geojson(units: list[UnitOfAnalysis], origin: GeoPoint, path) -> None:
         raise InputError("no units to export")
     features = []
     for u in units:
-        ring = unproject(u.polygon.ring, origin)
-        coords = [[round(g.lon, 7), round(g.lat, 7)] for g in ring]
+        coords = [[round(lon, 7), round(lat, 7)] for lon, lat in unproject(u.polygon.ring, origin).tolist()]
         features.append(
             {
                 "type": "Feature",

@@ -3,7 +3,8 @@
 The brute-force optimizer enumerates every non-empty exemplar subset, so it
 is exact and completely independent of the message-passing path; it backs
 the property and acceptance tests. The blob generator produces seeded
-geographic fixtures in the same lat/lon schema the pipeline ingests.
+geographic fixtures as (n, 2) (lon, lat) arrays, which write_points_csv
+writes in the lat/lon schema the pipeline ingests.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ def _subset_value(s: np.ndarray, subset: tuple[int, ...]) -> float:
     return value
 
 
-def generate_blobs(spec: SyntheticSpec) -> list[GeoPoint]:
-    """Seeded isotropic-normal blobs inside a 20 km square near lat -30.
+def generate_blobs(spec: SyntheticSpec) -> np.ndarray:
+    """Seeded isotropic-normal blobs inside a 20 km square near lat -30, as (n, 2) (lon, lat) rows.
 
     Blob centers are rejection-sampled until all pairwise separations meet
     min_separation_m; generation fails rather than silently relaxing the
@@ -123,10 +124,9 @@ def generate_blobs(spec: SyntheticSpec) -> list[GeoPoint]:
     return unproject(xy, BLOB_FRAME_ORIGIN)
 
 
-def write_points_csv(points: list[GeoPoint], path) -> None:
-    """Emit points in the lat/lon delimited schema the pipeline ingests."""
+def write_points_csv(lonlat: np.ndarray, path) -> None:
+    """Emit (n, 2) (lon, lat) rows in the lat/lon delimited schema the pipeline ingests, repr per float."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["lat", "lon"])
-        for p in points:
-            writer.writerow([repr(p.lat), repr(p.lon)])
+        writer.writerows([repr(lat), repr(lon)] for lon, lat in lonlat.tolist())

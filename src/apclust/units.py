@@ -107,7 +107,8 @@ def derive_meso_threshold(intersections, cell_km: float = 1.0) -> int:
     cell_km cells from its lower-left corner and intersection points are
     counted per cell. Cells containing no intersection are excluded from the
     median; a city bounding box includes water and rural cells that would
-    otherwise drag the value toward zero.
+    otherwise drag the value toward zero. A grid of 2**31 or more cells
+    along either axis is refused: its cell keys would overflow int64.
     """
     if not 0 < cell_km < math.inf:
         raise InputError(f"cell_km must be positive and finite, got {cell_km}")
@@ -118,6 +119,9 @@ def derive_meso_threshold(intersections, cell_km: float = 1.0) -> int:
         )
     xmin, ymin = xy.min(axis=0)
     cell_m = cell_km * 1000.0
+    # A product, not a quotient that could overflow; a NaN span fails too.
+    if not np.all(np.ptp(xy, axis=0) < 2**31 * cell_m):
+        raise InputError(f"cell_km {cell_km} tiles the inventory into 2**31 or more cells along an axis")
     ix = np.floor((xy[:, 0] - xmin) / cell_m).astype(np.int64)
     iy = np.floor((xy[:, 1] - ymin) / cell_m).astype(np.int64)
     _, counts = np.unique(ix * (iy.max() + 2) + iy, return_counts=True)
@@ -132,14 +136,13 @@ def build_units(
     t: ScaleThresholds = ScaleThresholds(),
     *,
     q: float = float("nan"),
-    sample_size: int | None = None,
     buffer_m: float = DEFAULT_BUFFER_M,
 ) -> tuple[list[UnitOfAnalysis], SweepCell]:
     """One UnitOfAnalysis per exemplar plus the run-level summary cell.
 
     Medians use linear interpolation; the run-level scale applies
     classify_level to the median intersection count over clusters. q and
-    sample_size are carried into the SweepCell for reporting, with the
+    the point count are carried into the SweepCell for reporting, with the
     run's convergence flag and iteration count.
     """
     xy = planar_to_array(planar_points)
@@ -168,7 +171,7 @@ def build_units(
     median_inter = float(np.median([u.n_intersections for u in units]))
     cell = SweepCell(
         q=q,
-        sample_size=int(xy.shape[0]) if sample_size is None else int(sample_size),
+        sample_size=int(xy.shape[0]),
         n_clusters=len(units),
         median_area_km2=median_area,
         median_intersections=median_inter,

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import apclust
 from apclust.core import ApcConfig, build_similarity, apply_preference, run_apc, run_apc_on_matrix, set_preference
 from apclust.geo import GeoPoint, PlanarPoint, contains, planar_to_array, polygonize, project, unproject
 from apclust.pipeline import RunManifest, run_sweep
@@ -128,7 +131,7 @@ def test_criterion_4_sweep_trends_on_desk_scale_dataset():
     for q in (0.5, 0.75, 0.99, 0.999, 1.0):
         result = run_apc(xy, ApcConfig(q=q, jitter_scale=1e-6, rng_seed=17))
         _, cell = build_units(
-            result, xy, np.empty((0, 2)), q=q, sample_size=len(xy), buffer_m=5.0
+            result, xy, np.empty((0, 2)), q=q, buffer_m=5.0
         )
         counts.append(cell.n_clusters)
         areas.append(cell.median_area_km2)
@@ -160,8 +163,8 @@ def test_criterion_6_geometry_suite():
             lon=origin.lon + float(rng.uniform(-0.05, 0.05)),
             lat=origin.lat + float(rng.uniform(-0.05, 0.05)),
         )
-        (back,) = unproject(project([g], origin), origin)
-        worst = max(worst, abs(back.lon - g.lon), abs(back.lat - g.lat))
+        ((lon, lat),) = unproject(project(np.array([(g.lon, g.lat)]), origin), origin)
+        worst = max(worst, abs(lon - g.lon), abs(lat - g.lat))
     assert worst < 1e-9
 
     square = polygonize(np.array([[0.0, 0.0], [100.0, 0.0], [100.0, 100.0], [0.0, 100.0]]))
@@ -279,13 +282,15 @@ json.dump(
 def test_criterion_9_performance_envelope_n5000():
     """A full n = 5000 run finishes inside 15 minutes and 1.5 GB resident.
 
-    Measured in a subprocess so ru_maxrss reflects only that run.
+    Measured in a subprocess so ru_maxrss reflects only that run. The child
+    imports the package from where this process found it, installed or not.
     """
     proc = subprocess.run(
         [sys.executable, "-c", CHILD_SCRIPT],
         capture_output=True,
         text=True,
         timeout=900,
+        env=dict(os.environ, PYTHONPATH=str(Path(apclust.__file__).parent.parent)),
     )
     assert proc.returncode == 0, proc.stderr
     stats = json.loads(proc.stdout)

@@ -97,26 +97,30 @@ class TestGeoPoint:
             GeoPoint(lon=0.0, lat=float("inf"))
 
 
+def lonlat_of(*points: GeoPoint) -> np.ndarray:
+    return np.array([(p.lon, p.lat) for p in points])
+
+
 class TestProjection:
     def test_origin_maps_to_zero(self):
-        ((x, y),) = project([ORIGIN], ORIGIN)
+        ((x, y),) = project(lonlat_of(ORIGIN), ORIGIN)
         assert x == 0.0 and y == 0.0
 
     def test_northward_step_against_haversine(self):
         north = GeoPoint(lon=ORIGIN.lon, lat=ORIGIN.lat + 0.01)
-        ((x, y),) = project([north], ORIGIN)
+        ((x, y),) = project(lonlat_of(north), ORIGIN)
         assert x == pytest.approx(0.0, abs=1e-9)
         assert y == pytest.approx(haversine_m(ORIGIN, north), abs=0.5)
 
     def test_eastward_step_against_haversine(self):
         east = GeoPoint(lon=ORIGIN.lon + 0.01, lat=ORIGIN.lat)
-        ((x, y),) = project([east], ORIGIN)
+        ((x, y),) = project(lonlat_of(east), ORIGIN)
         assert y == pytest.approx(0.0, abs=1e-9)
         assert x == pytest.approx(haversine_m(ORIGIN, east), rel=1e-4)
 
     def test_polar_origin_refused(self):
         with pytest.raises(InputError):
-            project([ORIGIN], GeoPoint(lon=0.0, lat=89.95))
+            project(lonlat_of(ORIGIN), GeoPoint(lon=0.0, lat=89.95))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -125,28 +129,35 @@ class TestProjection:
     )
     def test_round_trip_within_nanodegree(self, dlon, dlat):
         g = GeoPoint(lon=ORIGIN.lon + dlon, lat=ORIGIN.lat + dlat)
-        (back,) = unproject(project([g], ORIGIN), ORIGIN)
-        assert abs(back.lon - g.lon) < 1e-9
-        assert abs(back.lat - g.lat) < 1e-9
+        ((lon, lat),) = unproject(project(lonlat_of(g), ORIGIN), ORIGIN)
+        assert abs(lon - g.lon) < 1e-9
+        assert abs(lat - g.lat) < 1e-9
+
+    def test_unproject_refuses_first_row_out_of_range_by_index(self):
+        # Row 1 lands past the north pole and row 2 past lon -180; the first is named.
+        xy = np.array([(0.0, 0.0), (0.0, 1.4e7), (-2e7, 0.0)])
+        message = r"^point 1: coordinate \(-51\.2, 95\.9\d*\) outside lon \[-180, 180\], lat \[-90, 90\]$"
+        with pytest.raises(InputError, match=message):
+            unproject(xy, ORIGIN)
+        with pytest.raises(InputError, match=r"^point 1: coordinate \(-258\.8\d*, -30\.0\) outside"):
+            unproject(xy[::2], ORIGIN)
 
     def test_centroid(self):
-        pts = [GeoPoint(lon=10.0, lat=0.0), GeoPoint(lon=20.0, lat=10.0)]
-        c = centroid(pts)
+        c = centroid(np.array([(10.0, 0.0), (20.0, 10.0)]))
         assert c.lon == 15.0 and c.lat == 5.0
 
     def test_centroid_empty_refused(self):
         with pytest.raises(InputError):
-            centroid([])
+            centroid(np.empty((0, 2)))
 
     def test_centroid_sums_left_to_right(self):
         # Compensated summation (Python 3.12's sum) keeps the 1e-14 and gives about 3.3e-15.
-        pts = [GeoPoint(180.0, 0.0), GeoPoint(1e-14, 0.0), GeoPoint(-180.0, 0.0)]
-        assert centroid(pts).lon == 0.0
+        assert centroid(np.array([(180.0, 0.0), (1e-14, 0.0), (-180.0, 0.0)])).lon == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(LONS, LATS), min_size=1, max_size=30))
     def test_centroid_matches_left_to_right_loop(self, coords):
-        c = centroid([GeoPoint(lon, lat) for lon, lat in coords])
+        c = centroid(np.array(coords, dtype=np.float64))
         # The latitude is held within the supported band.
         mean_lat = min(max(reference_mean([lat for _, lat in coords]), -MAX_SUPPORTED_LAT_DEG), MAX_SUPPORTED_LAT_DEG)
         assert c.lon.hex() == reference_mean([lon for lon, _ in coords]).hex()
@@ -161,14 +172,13 @@ class TestProjection:
         try:
             expected = planar_to_array(reference_project(points, origin)).reshape(-1, 2)
         except InputError as exc:
-            for given_points in (points, lonlat):
-                with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
-                    project(given_points, origin)
+            with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                project(lonlat, origin)
             return
-        for xy in (project(points, origin), project(lonlat, origin)):
-            assert xy.dtype == np.float64 and xy.shape == (len(points), 2)
-            assert np.array_equal(xy, expected)
-            assert np.array_equal(np.signbit(xy), np.signbit(expected))
+        xy = project(lonlat, origin)
+        assert xy.dtype == np.float64 and xy.shape == (len(points), 2)
+        assert np.array_equal(xy, expected)
+        assert np.array_equal(np.signbit(xy), np.signbit(expected))
 
 
 def square_ring(side: float) -> ClusterPolygon:

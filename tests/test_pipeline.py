@@ -100,14 +100,14 @@ class TestIngest:
         result = ingest_crashes(crash_csv)
         assert result.n_rows == 60
         assert result.n_dropped == 0
-        assert all(isinstance(p, GeoPoint) for p in result.points)
+        assert result.lonlat.dtype == np.float64 and result.lonlat.shape == (60, 2)
 
     def test_case_insensitive_headers_and_extra_columns(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text("ID,LAT,Lon,severity\n1,-30.05,-51.2,3\n2,-30.06,-51.21,1\n")
         result = ingest_crashes(path)
-        assert len(result.points) == 2
-        assert result.points[0].lat == -30.05
+        assert result.lonlat.shape == (2, 2)
+        assert result.lonlat[0, 1] == -30.05
 
     def test_invalid_rows_dropped_and_counted(self, tmp_path):
         path = tmp_path / "dirty.csv"
@@ -130,7 +130,7 @@ class TestIngest:
         ]
         path.write_text("lat,lon\n" + "\n".join(rows) + "\n")
         result = ingest_crashes(path)
-        assert [(p.lat, p.lon) for p in result.points] == [
+        assert [(lat, lon) for lon, lat in result.lonlat.tolist()] == [
             (-30.0, -51.2),
             (-30.2, -51.3),
             (90.0, -51.2),
@@ -194,7 +194,7 @@ class TestIngest:
         assert (result.n_rows, result.n_dropped) == (n_rows, n_dropped)
         assert result.lonlat.shape == (len(points), 2)
         assert result.lonlat.tobytes() == np.array([(p.lon, p.lat) for p in points], dtype=np.float64).tobytes()
-        assert result.points == points
+        assert [GeoPoint(lon, lat) for lon, lat in result.lonlat.tolist()] == points
         assert result.polar_row == polar_row
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -234,8 +234,8 @@ class TestIngest:
             path = tmp_path / f"crashes-{run}.csv"
             write_points_csv(generate_blobs(spec), path)
             origins.append(pipeline._ingest_xy(path)[1])
-        points = ingest_crashes(path).points
-        lon, lat = reference_mean([p.lon for p in points]), reference_mean([p.lat for p in points])
+        lonlat = ingest_crashes(path).lonlat.tolist()
+        lon, lat = reference_mean([x for x, _ in lonlat]), reference_mean([y for _, y in lonlat])
         assert [(o.lon.hex(), o.lat.hex()) for o in origins] == [(lon.hex(), lat.hex())] * 2
 
 
@@ -530,6 +530,13 @@ class TestCli:
         assert code == 2
         assert "requires an intersections input" in capsys.readouterr().err
 
+    def test_ring_buffered_past_the_pole_exit_2_and_writes_nothing(self, crash_csv, tmp_path, capsys):
+        # At q=1 singleton clusters are buffered into squares 10,000 km wide, past lat 90.
+        out = tmp_path / "out"
+        assert main(["cluster", "--input", str(crash_csv), "--q", "1", "--buffer-m", "1e7", "--out", str(out)]) == 2
+        assert "outside lon [-180, 180], lat [-90, 90]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_repeated_q_exit_2(self, crash_csv, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["sweep", "--input", str(crash_csv), "--q", "0.5,0.5", "--samples", "30", "--out", str(out)])
@@ -655,6 +662,13 @@ class TestCli:
         assert code == 0
         value = capsys.readouterr().out.strip()
         assert value.isdigit() and int(value) >= 1
+
+    def test_derive_threshold_past_2_31_cells_exit_2(self, intersections_csv, capsys):
+        code = main(["derive-threshold", "--intersections", str(intersections_csv), "--cell-km", "1e-300"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2**31 or more cells" in captured.err
 
     def test_explicit_thresholds_accepted(self, crash_csv, intersections_csv, tmp_path):
         out = tmp_path / "out"
@@ -858,7 +872,7 @@ def test_traced_bench_call_reports_every_layer_metric(grid, threads, crash_csv, 
 def small_units():
     xy = np.random.default_rng(4).uniform(0, 500, size=(20, 2))
     result = run_apc(xy, ApcConfig(q=0.5))
-    units, cell = build_units(result, xy, np.empty((0, 2)), ScaleThresholds(), q=0.5, sample_size=20)
+    units, cell = build_units(result, xy, np.empty((0, 2)), ScaleThresholds(), q=0.5)
     return units, cell
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from apclust.core import apply_preference, build_similarity, set_preference
 from apclust.errors import GenerationError, InputError
-from apclust.geo import EARTH_RADIUS_M, GeoPoint
+from apclust.geo import EARTH_RADIUS_M
 from apclust.pipeline import ingest_crashes
 from apclust.testkit import (
     BLOB_FRAME_ORIGIN,
@@ -122,29 +122,29 @@ class TestGenerateBlobs:
     def test_count_and_type(self):
         spec = SyntheticSpec(n_blobs=3, points_per_blob=5, blob_sigma_m=30.0, min_separation_m=1000.0, seed=1)
         pts = generate_blobs(spec)
-        assert len(pts) == 15
-        assert all(isinstance(p, GeoPoint) for p in pts)
+        assert isinstance(pts, np.ndarray) and pts.dtype == np.float64
+        assert pts.shape == (15, 2)
 
     def test_deterministic_per_seed(self):
         spec = SyntheticSpec(n_blobs=2, points_per_blob=4, blob_sigma_m=10.0, min_separation_m=500.0, seed=7)
-        assert generate_blobs(spec) == generate_blobs(spec)
+        assert generate_blobs(spec).tobytes() == generate_blobs(spec).tobytes()
 
     def test_seed_changes_points(self):
         a = SyntheticSpec(n_blobs=2, points_per_blob=4, blob_sigma_m=10.0, min_separation_m=500.0, seed=1)
         b = SyntheticSpec(n_blobs=2, points_per_blob=4, blob_sigma_m=10.0, min_separation_m=500.0, seed=2)
-        assert generate_blobs(a) != generate_blobs(b)
+        assert not np.array_equal(generate_blobs(a), generate_blobs(b))
 
     def test_blob_separation_visible_in_planar_distance(self):
         spec = SyntheticSpec(n_blobs=2, points_per_blob=1, blob_sigma_m=1.0, min_separation_m=5000.0, seed=3)
-        a, b = generate_blobs(spec)
-        dlat = (b.lat - a.lat) * np.pi / 180.0 * EARTH_RADIUS_M
-        dlon = (b.lon - a.lon) * np.pi / 180.0 * EARTH_RADIUS_M * np.cos(np.radians(a.lat))
+        (a_lon, a_lat), (b_lon, b_lat) = generate_blobs(spec).tolist()
+        dlat = (b_lat - a_lat) * np.pi / 180.0 * EARTH_RADIUS_M
+        dlon = (b_lon - a_lon) * np.pi / 180.0 * EARTH_RADIUS_M * np.cos(np.radians(a_lat))
         # centers at least min_separation apart; members deviate by a few sigma
         assert np.hypot(dlat, dlon) > 4000.0
 
     def test_zero_sigma_collapses_to_centers(self):
         spec = SyntheticSpec(n_blobs=1, points_per_blob=3, blob_sigma_m=0.0, min_separation_m=100.0, seed=6)
-        a, b, c = generate_blobs(spec)
+        a, b, c = generate_blobs(spec).tolist()
         assert a == b == c
 
     def test_impossible_packing_refused(self):
@@ -168,13 +168,13 @@ class TestCsvRoundTrip:
         back = ingest_crashes(path)
         assert back.n_rows == len(pts)
         assert back.n_dropped == 0
-        for orig, parsed in zip(pts, back.points):
-            assert parsed.lon == pytest.approx(orig.lon, abs=1e-12)
-            assert parsed.lat == pytest.approx(orig.lat, abs=1e-12)
+        for (lon, lat), (parsed_lon, parsed_lat) in zip(pts.tolist(), back.lonlat.tolist()):
+            assert parsed_lon == pytest.approx(lon, abs=1e-12)
+            assert parsed_lat == pytest.approx(lat, abs=1e-12)
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "points.csv"
-        write_points_csv([BLOB_FRAME_ORIGIN], path)
+        write_points_csv(np.array([(BLOB_FRAME_ORIGIN.lon, BLOB_FRAME_ORIGIN.lat)]), path)
         text = path.read_text()
         assert text.splitlines()[0] == "lat,lon"
         assert len(text.splitlines()) == 2

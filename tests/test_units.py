@@ -168,6 +168,14 @@ class TestDeriveThreshold:
         with pytest.raises(InputError):
             derive_meso_threshold(np.array([[1.0, 1.0]]), cell_km=0.0)
 
+    def test_grid_past_2_31_cells_per_axis_refused(self):
+        # 1e-300 km cells put 2e301 cells along each axis, whose keys would overflow int64.
+        pts = np.random.default_rng(3).uniform(0.0, 20_000.0, size=(1000, 2))
+        with pytest.raises(InputError, match=r"2\*\*31 or more cells"):
+            derive_meso_threshold(pts, cell_km=1e-300)
+        # 1 mm cells, 2e7 along each axis: each point lies alone in its cell.
+        assert derive_meso_threshold(pts, cell_km=1e-6) == 1
+
 
 def two_blob_points() -> np.ndarray:
     rng = np.random.default_rng(8)
@@ -180,7 +188,7 @@ class TestBuildUnits:
     def test_two_blob_run(self):
         xy = two_blob_points()
         res = run_apc(xy, ApcConfig(q=0.5))
-        units, cell = build_units(res, xy, np.empty((0, 2)), q=0.5, sample_size=len(xy))
+        units, cell = build_units(res, xy, np.empty((0, 2)), q=0.5)
         assert len(units) == 2
         assert cell.n_clusters == 2
         assert sum(u.n_points for u in units) == len(xy)
@@ -195,7 +203,7 @@ class TestBuildUnits:
         res = run_apc(xy, ApcConfig(q=0.5))
         # Pile 40 intersections into the first blob's footprint only.
         inter = np.random.default_rng(9).normal((0.0, 0.0), 10.0, size=(40, 2))
-        units, cell = build_units(res, xy, inter, q=0.5, sample_size=len(xy))
+        units, cell = build_units(res, xy, inter, q=0.5)
         by_count = sorted(units, key=lambda u: u.n_intersections)
         assert by_count[0].level == "micro"
         assert by_count[-1].level == "macro"
@@ -206,7 +214,7 @@ class TestBuildUnits:
     def test_cell_median_area(self):
         xy = two_blob_points()
         res = run_apc(xy, ApcConfig(q=0.5))
-        units, cell = build_units(res, xy, np.empty((0, 2)), q=0.5, sample_size=len(xy))
+        units, cell = build_units(res, xy, np.empty((0, 2)), q=0.5)
         assert cell.median_area_km2 == pytest.approx(
             float(np.median([u.polygon.area_km2 for u in units]))
         )
@@ -216,14 +224,14 @@ class TestBuildUnits:
     def test_cluster_ids_sequential(self):
         xy = two_blob_points()
         res = run_apc(xy, ApcConfig(q=0.5))
-        units, _ = build_units(res, xy, np.empty((0, 2)), q=0.5, sample_size=len(xy))
+        units, _ = build_units(res, xy, np.empty((0, 2)), q=0.5)
         assert [u.cluster_id for u in units] == list(range(len(res.exemplars)))
 
     def test_degenerate_cluster_buffered(self):
         # Identical points: one cluster, buffered polygon with positive area.
         xy = np.zeros((3, 2))
         res = run_apc(xy, ApcConfig(q=0.5))
-        units, cell = build_units(res, xy, np.empty((0, 2)), q=0.5, sample_size=3, buffer_m=15.0)
+        units, cell = build_units(res, xy, np.empty((0, 2)), q=0.5, buffer_m=15.0)
         assert len(units) == 1
         assert units[0].polygon.area_km2 == pytest.approx(900.0 / 1e6, rel=1e-9)
         assert cell.level == "micro"
