@@ -230,7 +230,9 @@ def update_responsibilities(
 
     The stored value is the damped blend damping * r_old + (1 - damping) * r_raw.
     For n = 1 there are no rival candidates and r_raw = s(1, 1). Rows are
-    updated in place, one block of tmp.shape[0] - 1 rows at a time.
+    updated in place, one block of tmp.shape[0] - 1 rows at a time. tmp is
+    the scratch message_workspace returns: it must be C-contiguous, since
+    entries of a block are written through its flat view.
 
     The sweep also leaves in support the column sums of max{0, r(i, k)} with
     r(k, k) kept as is on the diagonal, which update_availabilities needs.
@@ -240,29 +242,33 @@ def update_responsibilities(
     """
     n = s.shape[0]
     block = tmp.shape[0] - 1
+    # Offset of each block row in the block's flat view; a row's argmax plus
+    # its offset indexes that entry of the flattened block.
+    steps = np.arange(block) * n
     support.fill(0.0)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        rows = np.arange(stop - start)
-        diag = rows + start
         s_blk = s[start:stop]
         r_blk = r[start:stop]
         raw = tmp[1 : stop - start + 1]
+        # A view of tmp; the block's diagonal entries are flat[start :: n + 1].
+        flat = raw.reshape(-1)
         if n == 1:
             raw[:] = s_blk
         else:
             np.add(a[start:stop], s_blk, out=raw)
             top = raw.argmax(axis=1)
-            first = raw[rows, top]
-            raw[rows, top] = -np.inf
+            top += steps[: stop - start]
+            first = flat[top]
+            flat[top] = -np.inf
             second = raw.max(axis=1)
             np.subtract(s_blk, first[:, None], out=raw)
-            raw[rows, top] = s_blk[rows, top] - second
+            flat[top] = s_blk.reshape(-1)[top] - second
         r_blk *= damping
         raw *= 1.0 - damping
         r_blk += raw
         np.maximum(r_blk, 0.0, out=raw)
-        raw[rows, diag] = r_blk[rows, diag]
+        flat[start :: n + 1] = r_blk.reshape(-1)[start :: n + 1]
         tmp[0] = support
         np.add.reduce(tmp[: stop - start + 1], axis=0, out=support)
 
@@ -288,14 +294,12 @@ def update_availabilities(
     np.minimum(support, 0.0, out=capped)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        rows = np.arange(stop - start)
-        diag = rows + start
         r_blk = r[start:stop]
         a_blk = a[start:stop]
         raw = tmp[: stop - start]
         np.subtract(support, r_blk, out=raw)
         np.minimum(raw, capped, out=raw)
-        raw[rows, diag] = support[diag] - r_blk[rows, diag]
+        raw.reshape(-1)[start :: n + 1] = support[start:stop] - r_blk.reshape(-1)[start :: n + 1]
         a_blk *= damping
         raw *= 1.0 - damping
         a_blk += raw

@@ -212,10 +212,17 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
 
     Cells are independent jobs sharing read-only inputs and disjoint output
     files; they run concurrently up to the APCLUST_THREADS cap, and no more
-    at once than the memory cap holds at the largest run's estimate. A failed
-    clustering run aborts the sweep naming the offending cell: a MemoryError
-    becomes a ResourceLimitError, and any other exception is logged with
-    its cell and re-raised unchanged. A failed GeoJSON export aborts the sweep
+    at once than the memory cap holds at the largest run's estimate. Cells
+    run largest sample first, in q order within a size: a worker that ran
+    smaller cells first would keep their freed matrices in its allocator
+    arena while the largest runs hold theirs. So a sweep grows by about
+    workers x estimate_apc_memory_gb(largest n), what the cap counts.
+    A failed clustering run aborts the sweep naming the offending cell: a
+    MemoryError becomes a ResourceLimitError, and any other exception is
+    logged with its cell and re-raised unchanged. Every ring is converted to
+    lon/lat before the first file is written, so a ring that cannot be,
+    such as one buffered past a pole, aborts the sweep naming its cell and
+    cluster with no file written. A failed GeoJSON write aborts the sweep
     before the summary is written. Each cell that did not converge is logged
     as a warning. Returns the cells in grid order, q-major.
     """
@@ -282,9 +289,11 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
             log.error("sweep cell q=%g sample=%d failed", q, k)
             raise
 
-    qs, ks = zip(*[(q, k) for q in manifest.q_levels for k in sizes])
+    grid = [(q, k) for q in manifest.q_levels for k in sizes]
+    # Largest sample first; the sort is stable, so q order holds within a size.
+    qs, ks = zip(*sorted(grid, key=lambda qk: qk[1], reverse=True))
     # The cap bounds all concurrent runs together, not each one.
-    workers = min(_max_workers(len(qs)), max(1, int(manifest.mem_cap_gb // est_gb)))
+    workers = min(_max_workers(len(grid)), max(1, int(manifest.mem_cap_gb // est_gb)))
     # Every input is checked by now; an output directory that cannot be
     # made fails here, before any clustering time is spent.
     if manifest.output_dir is not None:
@@ -292,16 +301,18 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     if workers == 1:
         # In the calling thread: a worker thread's own malloc arena would
         # add about 0.5 MB to the peak resident set of a one-cell run.
-        outcomes = list(map(run_cell, qs, ks))
+        ran = list(map(run_cell, qs, ks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_cell, qs, ks))
+            ran = list(pool.map(run_cell, qs, ks))
+    outcomes = dict(zip(zip(qs, ks), ran))
 
-    cells = [cell for _, cell in outcomes]
+    cells = [outcomes[qk][1] for qk in grid]
     if manifest.output_dir is not None:
         out_dir = Path(manifest.output_dir)
-        for q, k, (units, _) in zip(qs, ks, outcomes):
-            export_geojson(units, origin, out_dir / f"clusters_q{q:g}_s{k}.geojson")
+        rings = [_lonlat_rings(outcomes[q, k][0], origin, q, k) for q, k in grid]
+        for (q, k), lonlat in zip(grid, rings):
+            export_geojson(outcomes[q, k][0], lonlat, out_dir / f"clusters_q{q:g}_s{k}.geojson")
         export_summary(cells, out_dir / "summary.csv")
 
     stalled = [cell for cell in cells if not cell.converged]
@@ -315,17 +326,28 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     return cells
 
 
-def export_geojson(units: list[UnitOfAnalysis], origin: GeoPoint, path) -> None:
+def _lonlat_rings(units: list[UnitOfAnalysis], origin: GeoPoint, q: float, k: int) -> list[np.ndarray]:
+    """Each unit's ring un-projected around origin; a refused ring is named by its cell and cluster."""
+    rings = []
+    for u in units:
+        try:
+            rings.append(unproject(u.polygon.ring, origin))
+        except InputError as exc:
+            raise InputError(f"cell q={q:g} sample={k} cluster {u.cluster_id}: {exc}") from exc
+    return rings
+
+
+def export_geojson(units: list[UnitOfAnalysis], rings: list[np.ndarray], path) -> None:
     """Write a FeatureCollection of EPSG:4326 polygons, one feature per unit.
 
-    Rings are un-projected through the inverse of the planar projection and
-    emitted with 7 decimal places.
+    rings holds each unit's ring as (lon, lat) rows, as geo.unproject returns
+    them; coordinates are emitted with 7 decimal places.
     """
     if not units:
         raise InputError("no units to export")
     features = []
-    for u in units:
-        coords = [[round(lon, 7), round(lat, 7)] for lon, lat in unproject(u.polygon.ring, origin).tolist()]
+    for u, ring in zip(units, rings):
+        coords = [[round(lon, 7), round(lat, 7)] for lon, lat in ring.tolist()]
         features.append(
             {
                 "type": "Feature",

@@ -452,6 +452,34 @@ class TestRunSweep:
         run_sweep(small_manifest(crash_csv, tmp_path / "two", mem_cap_gb=2.5 * est))
         assert seen == [2]
 
+    def test_largest_cells_run_first_and_outputs_keep_grid_order(self, crash_csv, tmp_path, monkeypatch):
+        # One thread runs the cells in run order: largest sample first, q
+        # order kept within a size. Two threads write the same bytes, and
+        # both report and write in grid order.
+        sizes = []
+        run_apc = pipeline.run_apc
+
+        def recording(points, config):
+            sizes.append(len(points))
+            return run_apc(points, config)
+
+        monkeypatch.setattr(pipeline, "run_apc", recording)
+        outs = {threads: tmp_path / f"threads{threads}" for threads in ("1", "2")}
+        cells = {}
+        for threads, out in outs.items():
+            monkeypatch.setenv("APCLUST_THREADS", threads)
+            cells[threads] = run_sweep(small_manifest(crash_csv, out, sample_sizes=[20, 40]))
+        assert sizes[:4] == [40, 40, 20, 20]
+        grid = [(0.5, 20), (0.5, 40), (0.9, 20), (0.9, 40)]
+        assert [(c.q, c.sample_size) for c in cells["1"]] == grid
+        assert cells["2"] == cells["1"]
+        rows = (outs["1"] / "summary.csv").read_text().splitlines()[1:]
+        assert [tuple(row.split(",")[:2]) for row in rows] == [(f"{q:g}", str(k)) for q, k in grid]
+        names = sorted(p.name for p in outs["1"].iterdir())
+        assert names == sorted(["summary.csv", *(f"clusters_q{q:g}_s{k}.geojson" for q, k in grid)])
+        for name in names:
+            assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes(), name
+
     def test_thread_cap_respected(self, crash_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("APCLUST_THREADS", "1")
         cells = run_sweep(small_manifest(crash_csv, tmp_path / "out"))
@@ -535,6 +563,17 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["cluster", "--input", str(crash_csv), "--q", "1", "--buffer-m", "1e7", "--out", str(out)]) == 2
         assert "outside lon [-180, 180], lat [-90, 90]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_ring_past_the_pole_in_a_later_cell_writes_no_file(self, crash_csv, tmp_path, capsys):
+        # The q=0.5 cell exports cleanly; the q=1 cell's singleton squares
+        # reach past lat 90. No file of the set may be written.
+        out = tmp_path / "out"
+        argv = ["sweep", "--input", str(crash_csv), "--q", "0.5,1", "--samples", "60", "--buffer-m", "1e7"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"error: cell q=1 sample=60 cluster \d+: point \d+: coordinate ", err), err
+        assert "outside lon [-180, 180], lat [-90, 90]" in err
         assert list(out.iterdir()) == []
 
     def test_repeated_q_exit_2(self, crash_csv, tmp_path, capsys):
@@ -903,7 +942,7 @@ class TestAtomicWrites:
             if name == "summary.csv":
                 export_summary([cell], path)
             else:
-                export_geojson(units, BLOB_FRAME_ORIGIN, path)
+                export_geojson(units, [unproject(u.polygon.ring, BLOB_FRAME_ORIGIN) for u in units], path)
 
         export(tmp_path / name)
         before = (tmp_path / name).read_bytes()
