@@ -11,10 +11,11 @@ of sweeps.
 
 Similarities are negative squared Euclidean distances between planar
 coordinates, so the maximum similarity is 0 (identical points). The
-diagonal holds the exemplar preference: larger (closer to zero) preference
-values make points more eager to become exemplars and produce more, smaller
-clusters. Preferences are set from a quantile of the off-diagonal
-similarities.
+exemplar preference is the diagonal of S and is recorded nowhere else: a
+NaN there means no preference is set yet. Larger (closer to zero)
+preference values make points more eager to become exemplars and produce
+more, smaller clusters. Preferences are set from a quantile of the
+off-diagonal similarities. A run needs at least two points.
 
 One kernel does the message passing in place: it holds S, R and A, a
 column-support vector and one scratch block of rows, and sweeps the rows
@@ -53,13 +54,13 @@ class SimilarityMatrix:
     """Dense pairwise similarities plus the preference diagonal.
 
     ``s[i, k]`` holds the similarity of point i to candidate exemplar k
-    (dimensionless, larger = more similar). The diagonal is NaN until a
-    preference has been applied. ``xy`` is a copy of the points S was built
-    from, which a jittered run rebuilds S from; a hand-built matrix has none.
+    (dimensionless, larger = more similar). The diagonal is the preference:
+    build_similarity leaves it NaN, and a NaN there means no preference is
+    set. ``xy`` is a copy of the points S was built from, which a jittered
+    run rebuilds S from; a hand-built matrix has none.
     """
 
     s: np.ndarray
-    preference_applied: bool = False
     xy: np.ndarray | None = None
 
     @property
@@ -73,9 +74,11 @@ class SimilarityMatrix:
         return self.s.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].flatten()
 
     def preferences(self) -> np.ndarray:
-        if not self.preference_applied:
+        """The diagonal of S, as a read-only view; raises if a NaN there shows no preference is set."""
+        p = self.s.diagonal()
+        if np.isnan(p).any():
             raise ValueError("preference has not been applied")
-        return self.s.diagonal()
+        return p
 
 
 @dataclass(frozen=True)
@@ -124,36 +127,28 @@ class ClusterResult:
     iterations_run: int
     net_similarity: float
 
-    @property
-    def n_clusters(self) -> int:
-        return len(self.exemplars)
-
-    def members(self, exemplar: int) -> np.ndarray:
-        """Indices of the points assigned to the given exemplar."""
-        return np.flatnonzero(self.assignment == exemplar)
-
 
 def build_similarity(points) -> SimilarityMatrix:
     """Build s(i, k) = -||x_i - x_k||^2 from planar metric coordinates.
 
     The diagonal is left NaN until apply_preference / set_preference fills
-    it. Coordinates must already be projected to meters; differences are
-    computed explicitly (blocked over rows) so identical points yield an
-    exact similarity of 0.
+    it. At least two points are required. Coordinates must already be
+    projected to meters; differences are computed explicitly (blocked over
+    rows) so identical points yield an exact similarity of 0.
     """
     xy = np.array(planar_to_array(points))
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise InputError(f"expected planar (n, 2) coordinates, got shape {xy.shape}")
     n = xy.shape[0]
-    if n == 0:
-        raise InputError("at least one point is required")
+    if n < 2:
+        raise InputError(f"at least two points are required, got {n}")
     bad = ~np.isfinite(xy).all(axis=1)
     if bad.any():
         raise InputError(f"non-finite coordinate at index {int(np.flatnonzero(bad)[0])}")
 
     s = np.empty((n, n), dtype=np.float64)
     _fill_similarity(xy, s, np.nan)
-    return SimilarityMatrix(s=s, preference_applied=False, xy=xy)
+    return SimilarityMatrix(s=s, xy=xy)
 
 
 def _fill_similarity(xy: np.ndarray, s: np.ndarray, diagonal) -> None:
@@ -170,19 +165,13 @@ def apply_preference(m: SimilarityMatrix, q: float) -> SimilarityMatrix:
     """Set every diagonal entry to the q-quantile of the off-diagonal similarities.
 
     Uses linear interpolation, so q=0 gives the minimum and q=1 the
-    maximum. A single-point matrix has no off-diagonal values; its
-    preference is set to 0 by convention. Modifies m in place and returns it.
+    maximum. Only the off-diagonal is read, so a second call just sets the
+    diagonal again. Modifies m in place and returns it.
     """
-    if m.preference_applied:
-        raise ValueError("preference already applied")
     if not 0.0 <= q <= 1.0:
         raise InputError(f"q must be in [0, 1], got {q}")
-    if m.n == 1:
-        p = 0.0
-    else:
-        p = float(np.quantile(m.off_diagonal(), q, overwrite_input=True))
+    p = float(np.quantile(m.off_diagonal(), q, overwrite_input=True))
     np.fill_diagonal(m.s, p)
-    m.preference_applied = True
     return m
 
 
@@ -197,7 +186,6 @@ def set_preference(m: SimilarityMatrix, preference) -> SimilarityMatrix:
     if not np.isfinite(p).all():
         raise InputError("preference must be finite")
     np.fill_diagonal(m.s, p)
-    m.preference_applied = True
     return m
 
 
@@ -229,10 +217,9 @@ def update_responsibilities(
     """One responsibility sweep: r(i, k) = s(i, k) - max_{k' != k} {a(i, k') + s(i, k')}.
 
     The stored value is the damped blend damping * r_old + (1 - damping) * r_raw.
-    For n = 1 there are no rival candidates and r_raw = s(1, 1). Rows are
-    updated in place, one block of tmp.shape[0] - 1 rows at a time. tmp is
-    the scratch message_workspace returns: it must be C-contiguous, since
-    entries of a block are written through its flat view.
+    Rows are updated in place, one block of tmp.shape[0] - 1 rows at a time.
+    tmp is the scratch message_workspace returns: it must be C-contiguous,
+    since entries of a block are written through its flat view.
 
     The sweep also leaves in support the column sums of max{0, r(i, k)} with
     r(k, k) kept as is on the diagonal, which update_availabilities needs.
@@ -253,17 +240,14 @@ def update_responsibilities(
         raw = tmp[1 : stop - start + 1]
         # A view of tmp; the block's diagonal entries are flat[start :: n + 1].
         flat = raw.reshape(-1)
-        if n == 1:
-            raw[:] = s_blk
-        else:
-            np.add(a[start:stop], s_blk, out=raw)
-            top = raw.argmax(axis=1)
-            top += steps[: stop - start]
-            first = flat[top]
-            flat[top] = -np.inf
-            second = raw.max(axis=1)
-            np.subtract(s_blk, first[:, None], out=raw)
-            flat[top] = s_blk.reshape(-1)[top] - second
+        np.add(a[start:stop], s_blk, out=raw)
+        top = raw.argmax(axis=1)
+        top += steps[: stop - start]
+        first = flat[top]
+        flat[top] = -np.inf
+        second = raw.max(axis=1)
+        np.subtract(s_blk, first[:, None], out=raw)
+        flat[top] = s_blk.reshape(-1)[top] - second
         r_blk *= damping
         raw *= 1.0 - damping
         r_blk += raw
@@ -355,14 +339,12 @@ def run_apc_on_matrix(m: SimilarityMatrix, config: ApcConfig) -> ClusterResult:
     its diagonal put back, so exemplar refinement, net similarity and the
     caller see the clean matrix, bit for bit, in the same array.
     """
-    if not m.preference_applied:
-        raise ValueError("apply a preference before running")
+    diagonal = m.preferences().copy()
     if config.jitter_scale == 0:
         criterion, converged, iterations = _pass_messages(m.s, config)
     elif m.xy is None:
         raise ValueError("jitter needs the points S was built from; use build_similarity")
     else:
-        diagonal = m.s.diagonal().copy()
         _jitter(m.s, config.jitter_scale, config.rng_seed)
         try:
             criterion, converged, iterations = _pass_messages(m.s, config)

@@ -61,8 +61,7 @@ def brute_force_exemplars(m: SimilarityMatrix, max_n: int = MAX_ORACLE_N) -> tup
     Column maxima are shared between subsets through a lowest-bit recurrence,
     so all 2^n - 1 candidate sets are scored in O(2^n * n) time and memory.
     """
-    if not m.preference_applied:
-        raise InputError("apply a preference before searching")
+    preferences = m.preferences()
     n = m.n
     if n > max_n:
         raise InputError(f"brute force refused for n={n} (cap {max_n}: 2^n subsets)")
@@ -78,7 +77,7 @@ def brute_force_exemplars(m: SimilarityMatrix, max_n: int = MAX_ORACLE_N) -> tup
 
     masks = np.arange(1, n_masks)
     member = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    values = member @ s.diagonal() + np.where(member, 0.0, colmax[1:]).sum(axis=1)
+    values = member @ preferences + np.where(member, 0.0, colmax[1:]).sum(axis=1)
 
     best_value = float(values.max())
     tol = 1e-12 * max(1.0, abs(best_value))

@@ -25,6 +25,7 @@ from apclust.core import (
     update_responsibilities,
 )
 from apclust.errors import InputError
+from apclust.testkit import brute_force_exemplars
 from references import reference_availabilities, reference_jittered, reference_responsibilities
 
 # Collinear points at 0, 1, 3 m give pairwise squared distances 1, 9, 4.
@@ -50,12 +51,17 @@ class TestBuildSimilarity:
     def test_diagonal_unset_until_preference(self):
         m = line_matrix()
         assert np.isnan(m.s.diagonal()).all()
-        assert not m.preference_applied
 
     def test_non_finite_input_rejected(self):
         bad = np.array([[0.0, 0.0], [np.nan, 1.0]])
         with pytest.raises(InputError):
             build_similarity(bad)
+
+    def test_fewer_than_two_points_refused(self):
+        with pytest.raises(InputError, match="at least two points are required, got 1"):
+            run_apc(np.array([[2.0, 3.0]]), ApcConfig(q=0.5))
+        with pytest.raises(InputError, match="at least two points are required, got 0"):
+            build_similarity(np.empty((0, 2)))
 
     def test_non_planar_shape_rejected(self):
         with pytest.raises(InputError):
@@ -80,20 +86,9 @@ class TestApplyPreference:
     def test_interpolated_quantile(self):
         # Two asymmetric entries {-8, -2}: the 0.75 quantile interpolates to -3.5.
         s = np.array([[np.nan, -8.0], [-2.0, np.nan]])
-        m = SimilarityMatrix(s=s, preference_applied=False)
+        m = SimilarityMatrix(s=s)
         apply_preference(m, 0.75)
         assert m.preferences().tolist() == [-3.5, -3.5]
-
-    def test_single_point_preference_zero(self):
-        m = build_similarity(np.array([[5.0, 5.0]]))
-        apply_preference(m, 0.5)
-        assert m.s[0, 0] == 0.0
-
-    def test_second_application_rejected(self):
-        m = line_matrix()
-        apply_preference(m, 0.5)
-        with pytest.raises(ValueError):
-            apply_preference(m, 0.5)
 
     def test_explicit_preference(self):
         m = line_matrix()
@@ -103,15 +98,34 @@ class TestApplyPreference:
     def test_off_diagonal_of_two_points_is_a_copy(self):
         # A 1 x 2 view counts as contiguous; the quantile must still not sort s in place.
         s = np.array([[np.nan, -8.0], [-2.0, np.nan]])
-        m = SimilarityMatrix(s=s, preference_applied=False)
+        m = SimilarityMatrix(s=s)
         apply_preference(m, 0.0)
         assert m.s[0, 1] == -8.0 and m.s[1, 0] == -2.0
+
+    def test_non_finite_explicit_preference_refused(self):
+        with pytest.raises(InputError, match="preference must be finite"):
+            set_preference(line_matrix(), np.nan)
 
     def test_quantile_out_of_range(self):
         with pytest.raises(InputError):
             ApcConfig(q=1.5)
         with pytest.raises(InputError):
             ApcConfig(q=-0.1)
+        with pytest.raises(InputError, match=r"q must be in \[0, 1\], got 1.5"):
+            apply_preference(line_matrix(), 1.5)
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda m: m.preferences(),
+            lambda m: run_apc_on_matrix(m, ApcConfig()),
+            brute_force_exemplars,
+        ],
+        ids=["preferences", "run_apc_on_matrix", "brute_force_exemplars"],
+    )
+    def test_matrix_without_preference_refused(self, use):
+        with pytest.raises(ValueError, match="preference has not been applied"):
+            use(line_matrix())
 
 
 def zero_messages(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -122,7 +136,7 @@ def zero_messages(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 @st.composite
 def grid_points(draw, max_n=30):
     """Points on a coarse integer grid, so duplicates and tied similarities are common."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    n = draw(st.integers(min_value=2, max_value=max_n))
     coords = st.tuples(st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
     return np.array(draw(st.lists(coords, min_size=n, max_size=n)), dtype=np.float64)
 
@@ -161,11 +175,14 @@ class TestMessageUpdates:
         assert a[0, 0] == 5.0
 
     def test_damping_blends_old_and_new(self):
-        # One point: raw responsibility equals its preference. Old message 0
-        # blended at damping 0.9 with raw -10 gives -1.
-        r, a, support, tmp = zero_messages(1)
-        update_responsibilities(np.array([[-10.0]]), r, a, 0.9, support, tmp)
-        assert r[0, 0] == pytest.approx(-1.0)
+        # Two points, preference -10, similarity -4, zero availabilities:
+        # raw r(i, i) = -10 - (-4) = -6 and raw r(i, k) = -4 - (-10) = 6.
+        # Old messages 0 and 10 blended at damping 0.9 give -0.6 and 9.6.
+        s = np.array([[-10.0, -4.0], [-4.0, -10.0]])
+        r, a, support, tmp = zero_messages(2)
+        r[:] = [[0.0, 10.0], [10.0, 0.0]]
+        update_responsibilities(s, r, a, 0.9, support, tmp)
+        np.testing.assert_allclose(r, [[-0.6, 9.6], [9.6, -0.6]])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -223,19 +240,14 @@ class TestDecisionsAndObjective:
         assert exemplars.tolist() == [1]
         assert assignment.tolist() == [1, 1, 1]
 
-    def test_single_point_run(self):
-        res = run_apc(np.array([[2.0, 3.0]]), ApcConfig(q=0.5))
-        assert res.exemplars == [0]
-        assert res.assignment.tolist() == [0]
-        assert res.net_similarity == 0.0
-
     def test_result_counts(self):
         rng = np.random.default_rng(11)
         xy = rng.uniform(0, 50, size=(20, 2))
         res = run_apc(xy, ApcConfig(q=0.9))
-        assert sum(len(res.members(e)) for e in res.exemplars) == 20
+        counts = np.bincount(res.assignment, minlength=20)
+        assert counts[res.exemplars].sum() == 20
         for e in res.exemplars:
-            assert e in res.members(e)
+            assert res.assignment[e] == e
 
 
 class TestConfig:
@@ -330,14 +342,14 @@ class TestProperties:
         for e in res.exemplars:
             assert res.assignment[e] == e
         assert set(res.assignment.tolist()) <= set(res.exemplars)
-        assert sum(len(res.members(e)) for e in res.exemplars) == n
+        assert np.bincount(res.assignment, minlength=n)[res.exemplars].sum() == n
 
     @settings(max_examples=40, deadline=None)
     @given(point_sets())
     def test_exemplar_count_monotone_in_extremes(self, xy):
         low = run_apc(xy, ApcConfig(q=0.0, max_iterations=300, convergence_window=30))
         high = run_apc(xy, ApcConfig(q=1.0, max_iterations=300, convergence_window=30))
-        assert low.n_clusters <= high.n_clusters or len(np.unique(xy, axis=0)) < len(xy)
+        assert len(low.exemplars) <= len(high.exemplars) or len(np.unique(xy, axis=0)) < len(xy)
 
 
 def assert_bitwise_equal(x: np.ndarray, y: np.ndarray) -> None:
@@ -385,8 +397,8 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize(
         "n, block, jitter",
         [
-            (1, 1, 0.0),  # a single point: no rival candidates
-            (1, 1, 1.0),
+            (2, 1, 0.0),  # two points: each row has one rival candidate
+            (2, 1, 1.0),
             (10, 1, 0.0),  # one row per block
             (10, 3, 0.0),  # blocks of 3, 3, 3 and a ragged 1
             (10, 3, 1e-6),
@@ -427,7 +439,7 @@ class TestPreferenceMatchesFullQuantile:
         m = build_similarity(xy)
         off = ~np.eye(m.n, dtype=bool)
         before = m.s[off]
-        expected = np.quantile(before, q) if m.n > 1 else 0.0
+        expected = np.quantile(before, q)
         apply_preference(m, q)
         assert_bitwise_equal(m.preferences(), np.full(m.n, expected))
         assert_bitwise_equal(m.s[off], before)

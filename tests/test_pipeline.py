@@ -630,6 +630,25 @@ class TestCli:
         assert expected in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--q", "0.5,abc", "could not parse q list"),
+            ("--q", "", "q_levels must be non-empty"),
+            ("--samples", ",", "sample_sizes must be non-empty"),
+            ("--thresholds", "1,x", "threshold bounds must be numeric"),
+            ("--max-iter", "0", "max_iterations must be positive"),
+            ("--window", "0", "convergence_window must be positive"),
+        ],
+    )
+    def test_refused_option_value_exit_2(self, option, value, message, crash_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        options = {"--q": "0.5", "--samples": "30", option: value}
+        argv = ["sweep", "--input", str(crash_csv), "--out", str(out)]
+        assert main(argv + [arg for pair in options.items() for arg in pair]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_fails_before_clustering(self, crash_csv, tmp_path, monkeypatch, capsys):
         calls = []
 
@@ -953,3 +972,8 @@ class TestAtomicWrites:
             export(tmp_path / f"new-{name}")
         assert (tmp_path / name).read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    def test_empty_export_refused_and_writes_nothing(self, tmp_path):
+        with pytest.raises(InputError, match="no units to export"):
+            export_geojson([], [], tmp_path / "clusters.geojson")
+        assert list(tmp_path.iterdir()) == []

@@ -157,6 +157,10 @@ class TestGenerateBlobs:
             SyntheticSpec(n_blobs=0, points_per_blob=5, blob_sigma_m=10.0, min_separation_m=100.0, seed=1)
         with pytest.raises(InputError):
             SyntheticSpec(n_blobs=2, points_per_blob=0, blob_sigma_m=10.0, min_separation_m=100.0, seed=1)
+        with pytest.raises(InputError, match="min_separation_m must be positive"):
+            SyntheticSpec(n_blobs=2, points_per_blob=5, blob_sigma_m=10.0, min_separation_m=0.0, seed=1)
+        with pytest.raises(InputError, match="blob_sigma_m must be non-negative"):
+            SyntheticSpec(n_blobs=2, points_per_blob=5, blob_sigma_m=-1.0, min_separation_m=100.0, seed=1)
 
 
 class TestCsvRoundTrip:

@@ -221,6 +221,12 @@ class TestBuildUnits:
         assert cell.q == 0.5
         assert cell.sample_size == len(xy)
 
+    def test_point_set_must_match_result(self):
+        xy = two_blob_points()
+        res = run_apc(xy, ApcConfig(q=0.5))
+        with pytest.raises(InputError, match="point set does not match the clustering result"):
+            build_units(res, xy[:-1], np.empty((0, 2)), q=0.5)
+
     def test_cluster_ids_sequential(self):
         xy = two_blob_points()
         res = run_apc(xy, ApcConfig(q=0.5))
