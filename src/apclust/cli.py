@@ -112,11 +112,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         q_levels, sample_sizes = [args.q], [args.sample]
     else:
         q_levels, sample_sizes = _parse_list(args.q, float, "q"), _parse_list(args.samples, int, "size")
-    thresholds: ScaleThresholds | str
-    if args.thresholds is None:
-        thresholds = ScaleThresholds()
-    else:
-        thresholds = _parse_thresholds(args.thresholds)
+    thresholds = ScaleThresholds() if args.thresholds is None else _parse_thresholds(args.thresholds)
     manifest = RunManifest(
         input_crashes=args.input,
         q_levels=q_levels,

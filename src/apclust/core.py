@@ -132,9 +132,10 @@ def build_similarity(points) -> SimilarityMatrix:
     """Build s(i, k) = -||x_i - x_k||^2 from planar metric coordinates.
 
     The diagonal is left NaN until apply_preference / set_preference fills
-    it. At least two points are required. Coordinates must already be
-    projected to meters; differences are computed explicitly (blocked over
-    rows) so identical points yield an exact similarity of 0.
+    it. At least two points are required, and no squared distance between
+    them may overflow float64. Coordinates must already be projected to
+    meters; differences are computed explicitly (blocked over rows) so
+    identical points yield an exact similarity of 0.
     """
     xy = np.array(planar_to_array(points))
     if xy.ndim != 2 or xy.shape[1] != 2:
@@ -148,6 +149,9 @@ def build_similarity(points) -> SimilarityMatrix:
 
     s = np.empty((n, n), dtype=np.float64)
     _fill_similarity(xy, s, np.nan)
+    # Finite coordinates can still overflow when squared; nanmin skips the NaN diagonal.
+    if np.nanmin(s) == -np.inf:
+        raise InputError("squared distances between points overflow float64")
     return SimilarityMatrix(s=s, xy=xy)
 
 

@@ -65,19 +65,14 @@ class RunManifest:
     mem_cap_gb: float = 8.0
     require_convergence: bool = False
 
-    def validate(self) -> ApcConfig:
-        """Check every setting that needs no input data; return the ApcConfig all cells share."""
+    def validate(self) -> dict[float, ApcConfig]:
+        """Check every setting that needs no input data; return each q level's ApcConfig.
+
+        ApcConfig refuses a q level outside [0, 1]. Output-name collisions
+        depend on the resolved sample sizes, so run_sweep checks them.
+        """
         if not self.q_levels:
             raise InputError("q_levels must be non-empty")
-        for q in self.q_levels:
-            if not 0.0 <= q <= 1.0:
-                raise InputError(f"q level {q} out of [0, 1]")
-        # Output files are named by f"{q:g}", so two levels with one label
-        # would overwrite each other's GeoJSON.
-        labels = [f"{q:g}" for q in self.q_levels]
-        for label in labels:
-            if labels.count(label) > 1:
-                raise InputError(f"q levels repeat the output label {label}")
         if not self.sample_sizes:
             raise InputError("sample_sizes must be non-empty")
         if isinstance(self.thresholds, str) and self.thresholds != "derive":
@@ -87,13 +82,14 @@ class RunManifest:
         check_buffer_m(self.buffer_m)
         if not 0 < self.mem_cap_gb < math.inf:
             raise InputError(f"mem_cap_gb must be positive and finite, got {self.mem_cap_gb}")
-        return ApcConfig(
+        base = ApcConfig(
             damping=self.damping,
             max_iterations=self.max_iterations,
             convergence_window=self.convergence_window,
             jitter_scale=self.jitter_scale,
             rng_seed=self.rng_seed,
         )
+        return {q: replace(base, q=q) for q in self.q_levels}
 
 
 @dataclass
@@ -103,8 +99,6 @@ class IngestResult:
     lonlat: np.ndarray
     n_rows: int
     n_dropped: int
-    # File line and latitude of the first kept row that project refuses, beyond +-MAX_SUPPORTED_LAT_DEG.
-    polar_row: tuple[int, float] | None = None
 
 
 def ingest_crashes(path) -> IngestResult:
@@ -115,7 +109,8 @@ def ingest_crashes(path) -> IngestResult:
     a coordinate float() cannot parse, or outside geo.valid_lonlat are
     dropped and counted in a logged warning. Text the csv module cannot
     read, such as a field over csv.field_size_limit(), is a FormatError.
-    The first kept row beyond the supported latitude band is noted in polar_row.
+    A kept row beyond the supported latitude band, which project refuses, is
+    an InputError naming the first such row's file line.
     """
     path = Path(path)
     if not path.exists():
@@ -124,7 +119,7 @@ def ingest_crashes(path) -> IngestResult:
     lonlat = array("d")
     n_rows = 0
     n_dropped = 0
-    polar_row = None
+    polar = None
     # Only lat and lon are parsed, so an undecodable byte elsewhere must not end the run.
     with open(path, newline="", encoding="utf-8-sig", errors="replace") as f:
         reader = csv.reader(f)
@@ -148,8 +143,8 @@ def ingest_crashes(path) -> IngestResult:
                 lonlat.append(x)
                 lonlat.append(y)
                 # The band test first: it alone fails on almost every row.
-                if abs(y) > MAX_SUPPORTED_LAT_DEG and polar_row is None and valid_lonlat(x, y):
-                    polar_row = (reader.line_num, y)
+                if abs(y) > MAX_SUPPORTED_LAT_DEG and polar is None and valid_lonlat(x, y):
+                    polar = (reader.line_num, y)
         except csv.Error as exc:
             # csv.field_size_limit() is global to the process: leave it, and refuse an over-long field.
             raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
@@ -160,7 +155,9 @@ def ingest_crashes(path) -> IngestResult:
         log.warning("%s: dropped %d of %d rows with invalid coordinates", path, n_dropped, n_rows)
     if n_dropped == n_rows:
         raise InputError(f"{path}: no valid coordinate rows")
-    return IngestResult(lonlat=rows[keep], n_rows=n_rows, n_dropped=n_dropped, polar_row=polar_row)
+    if polar is not None:
+        raise InputError(f"{path}: line {polar[0]}: latitude {polar[1]} beyond supported range")
+    return IngestResult(lonlat=rows[keep], n_rows=n_rows, n_dropped=n_dropped)
 
 
 def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoint]:
@@ -168,13 +165,10 @@ def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoi
 
     The origin defaults to the file's own centroid. Only the planar array
     is kept: the lon/lat array is freed on return rather than held through
-    the clustering runs. A kept row beyond the supported latitude band is
-    refused by its file line; a file whose rows all lie within it is not.
+    the clustering runs. ingest_crashes refuses a row beyond the supported
+    latitude band; a file whose rows all lie within it is projected.
     """
     rows = ingest_crashes(path)
-    if rows.polar_row is not None:
-        line, lat = rows.polar_row
-        raise InputError(f"{path}: line {line}: latitude {lat} beyond supported range")
     if origin is None:
         origin = centroid(rows.lonlat)
     return project(rows.lonlat, origin), origin
@@ -226,20 +220,22 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     before the summary is written. Each cell that did not converge is logged
     as a warning. Returns the cells in grid order, q-major.
     """
-    base = manifest.validate()
+    configs = manifest.validate()
     # One shared planar frame: origin is the centroid of the full dataset.
     xy_all, origin = _ingest_xy(manifest.input_crashes)
     n_total = xy_all.shape[0]
-    # Output files are named by the resolved size, so a repeat is checked
-    # only once None has become the dataset size.
     sizes = [n_total if k is None else k for k in manifest.sample_sizes]
     for k in sizes:
         if k < 2:
             raise InputError(f"sample size {k} below the minimum of 2")
         if k > n_total:
             raise InputError(f"sample size {k} exceeds the {n_total}-point dataset")
-        if sizes.count(k) > 1:
-            raise InputError(f"sample size {k} repeats")
+    grid = [(q, k) for q in manifest.q_levels for k in sizes]
+    # Two cells share a file name when their q levels print alike or their resolved sizes repeat.
+    names = [f"clusters_q{q:g}_s{k}.geojson" for q, k in grid]
+    for name in names:
+        if names.count(name) > 1:
+            raise InputError(f"two sweep cells would write {name}")
 
     est_gb = estimate_apc_memory_gb(max(sizes))
     if est_gb > manifest.mem_cap_gb:
@@ -271,7 +267,7 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
 
     def run_cell(q: float, k: int) -> tuple[list[UnitOfAnalysis], SweepCell]:
         try:
-            config = replace(base, q=q, rng_seed=_cell_seed(manifest.rng_seed, k, q))
+            config = replace(configs[q], rng_seed=_cell_seed(manifest.rng_seed, k, q))
             result = run_apc(samples[k], config)
             return build_units(
                 result,
@@ -289,7 +285,6 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
             log.error("sweep cell q=%g sample=%d failed", q, k)
             raise
 
-    grid = [(q, k) for q in manifest.q_levels for k in sizes]
     # Largest sample first; the sort is stable, so q order holds within a size.
     qs, ks = zip(*sorted(grid, key=lambda qk: qk[1], reverse=True))
     # The cap bounds all concurrent runs together, not each one.
@@ -311,8 +306,8 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     if manifest.output_dir is not None:
         out_dir = Path(manifest.output_dir)
         rings = [_lonlat_rings(outcomes[q, k][0], origin, q, k) for q, k in grid]
-        for (q, k), lonlat in zip(grid, rings):
-            export_geojson(outcomes[q, k][0], lonlat, out_dir / f"clusters_q{q:g}_s{k}.geojson")
+        for (q, k), name, lonlat in zip(grid, names, rings):
+            export_geojson(outcomes[q, k][0], lonlat, out_dir / name)
         export_summary(cells, out_dir / "summary.csv")
 
     stalled = [cell for cell in cells if not cell.converged]

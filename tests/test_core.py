@@ -63,6 +63,13 @@ class TestBuildSimilarity:
         with pytest.raises(InputError, match="at least two points are required, got 0"):
             build_similarity(np.empty((0, 2)))
 
+    def test_overflowing_squared_distance_refused(self):
+        # Finite coordinates whose squared distances exceed float64's range.
+        with pytest.raises(InputError, match="squared distances between points overflow float64"):
+            run_apc(np.array([[0.0, 0.0], [1e200, 0.0], [3e200, 0.0]]), ApcConfig())
+        # 1e308 is still finite, so the largest representable spread is accepted.
+        assert build_similarity(np.array([[0.0, 0.0], [1e154, 0.0]])).s[0, 1] == -1e308
+
     def test_non_planar_shape_rejected(self):
         with pytest.raises(InputError):
             build_similarity(np.zeros((4, 3)))

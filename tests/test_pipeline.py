@@ -129,17 +129,28 @@ class TestIngest:
             "-30.7,-180",
         ]
         path.write_text("lat,lon\n" + "\n".join(rows) + "\n")
+        # 90 and -90 are valid, so they are kept, and the first of them is refused by its line.
+        with pytest.raises(InputError, match=r"line 13: latitude 90\.0 beyond supported range"):
+            ingest_crashes(path)
+        in_band = [row for row in rows if row not in ("90,-51.2", "-90,-51.2")]
+        path.write_text("lat,lon\n" + "\n".join(in_band) + "\n")
         result = ingest_crashes(path)
         assert [(lat, lon) for lon, lat in result.lonlat.tolist()] == [
             (-30.0, -51.2),
             (-30.2, -51.3),
-            (90.0, -51.2),
-            (-90.0, -51.2),
             (-30.6, 180.0),
             (-30.7, -180.0),
         ]
-        assert result.n_rows == 15
+        assert result.n_rows == 13
         assert result.n_dropped == 9
+
+    def test_polar_row_refused_by_line(self, tmp_path):
+        # 89.95 is a valid latitude, so the row on line 4 is kept, then refused.
+        path = tmp_path / "polar.csv"
+        path.write_text("lat,lon\nnan,-51.2\n-30.0,-51.2\n89.95,-51.2\n-30.01,-51.21\n")
+        message = rf"^{re.escape(str(path))}: line 4: latitude 89\.95 beyond supported range"
+        with pytest.raises(InputError, match=message):
+            ingest_crashes(path)
 
     def test_missing_header_refused(self, tmp_path):
         path = tmp_path / "wrong.csv"
@@ -190,12 +201,16 @@ class TestIngest:
             with pytest.raises(type(exc)):
                 ingest_crashes(path)
             return
+        if polar_row is not None:
+            line, lat = polar_row
+            with pytest.raises(InputError, match=rf": line {line}: latitude {re.escape(str(lat))} beyond"):
+                ingest_crashes(path)
+            return
         result = ingest_crashes(path)
         assert (result.n_rows, result.n_dropped) == (n_rows, n_dropped)
         assert result.lonlat.shape == (len(points), 2)
         assert result.lonlat.tobytes() == np.array([(p.lon, p.lat) for p in points], dtype=np.float64).tobytes()
         assert [GeoPoint(lon, lat) for lon, lat in result.lonlat.tolist()] == points
-        assert result.polar_row == polar_row
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(in_band_csv())
@@ -580,7 +595,9 @@ class TestCli:
         out = tmp_path / "out"
         code = main(["sweep", "--input", str(crash_csv), "--q", "0.5,0.5", "--samples", "30", "--out", str(out)])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "clusters_q0.5_s30.geojson" in err
         assert not out.exists()
 
     def test_over_long_field_exit_2(self, tmp_path, capsys):
@@ -635,6 +652,7 @@ class TestCli:
         [
             ("--q", "0.5,abc", "could not parse q list"),
             ("--q", "", "q_levels must be non-empty"),
+            ("--q", "1.5", "q must be in [0, 1], got 1.5"),
             ("--samples", ",", "sample_sizes must be non-empty"),
             ("--thresholds", "1,x", "threshold bounds must be numeric"),
             ("--max-iter", "0", "max_iterations must be positive"),
