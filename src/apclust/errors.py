@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: input and format problems exit 2,
-resource refusals exit 3, convergence failures exit 4.
+The CLI maps these onto exit codes: every InputError, an underivable meso
+bound included, exits 2, resource refusals 3, convergence failures 4.
 """
 
 
@@ -17,17 +17,9 @@ class FormatError(InputError):
     """Input file does not match the expected delimited-text schema."""
 
 
-class DerivationError(ApclustError):
-    """A derived quantity (e.g. the meso threshold) could not be computed."""
-
-
 class ResourceLimitError(ApclustError):
     """Estimated resource usage exceeds the configured hard cap."""
 
 
 class ConvergenceError(ApclustError):
     """Strict convergence was requested and no run converged."""
-
-
-class GenerationError(ApclustError):
-    """Synthetic data generation could not satisfy its constraints."""

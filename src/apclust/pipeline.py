@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ApcConfig, estimate_apc_memory_gb, run_apc
-from .errors import ConvergenceError, DerivationError, FormatError, InputError, ResourceLimitError
+from .errors import ConvergenceError, FormatError, InputError, ResourceLimitError
 from .geo import (
     DEFAULT_BUFFER_M,
     MAX_SUPPORTED_LAT_DEG,
@@ -94,11 +94,10 @@ class RunManifest:
 
 @dataclass
 class IngestResult:
-    """Parsed (n, 2) lon/lat rows plus row accounting (valid + dropped = total)."""
+    """Parsed (n, 2) lon/lat rows and the data row count; n_rows - len(lonlat) were dropped."""
 
     lonlat: np.ndarray
     n_rows: int
-    n_dropped: int
 
 
 def ingest_crashes(path) -> IngestResult:
@@ -157,7 +156,7 @@ def ingest_crashes(path) -> IngestResult:
         raise InputError(f"{path}: no valid coordinate rows")
     if polar is not None:
         raise InputError(f"{path}: line {polar[0]}: latitude {polar[1]} beyond supported range")
-    return IngestResult(lonlat=rows[keep], n_rows=n_rows, n_dropped=n_dropped)
+    return IngestResult(lonlat=rows[keep], n_rows=n_rows)
 
 
 def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoint]:
@@ -198,7 +197,7 @@ def _max_workers(n_cells: int) -> int:
             raise InputError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
         if limit < 1:
             raise InputError(f"{THREADS_ENV_VAR} must be >= 1, got {limit}")
-    return max(1, min(limit, n_cells))
+    return min(limit, n_cells)
 
 
 def run_sweep(manifest: RunManifest) -> list[SweepCell]:
@@ -230,8 +229,8 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
             raise InputError(f"sample size {k} below the minimum of 2")
         if k > n_total:
             raise InputError(f"sample size {k} exceeds the {n_total}-point dataset")
-    grid = [(q, k) for q in manifest.q_levels for k in sizes]
-    # Two cells share a file name when their q levels print alike or their resolved sizes repeat.
+    grid = [(q + 0.0, k) for q in manifest.q_levels for k in sizes]
+    # -0 + 0.0 is 0.0. Two cells share a file name when their q levels print alike or their resolved sizes repeat.
     names = [f"clusters_q{q:g}_s{k}.geojson" for q, k in grid]
     for name in names:
         if names.count(name) > 1:
@@ -253,7 +252,7 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     if thresholds == "derive":
         meso_max = derive_meso_threshold(inter_xy)
         if meso_max <= ScaleThresholds.micro_max:
-            raise DerivationError(
+            raise InputError(
                 f"derived meso threshold {meso_max} is not above micro_max {ScaleThresholds.micro_max}; "
                 "pass --thresholds <micro_max>,<meso_max>"
             )
@@ -288,7 +287,7 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     # Largest sample first; the sort is stable, so q order holds within a size.
     qs, ks = zip(*sorted(grid, key=lambda qk: qk[1], reverse=True))
     # The cap bounds all concurrent runs together, not each one.
-    workers = min(_max_workers(len(grid)), max(1, int(manifest.mem_cap_gb // est_gb)))
+    workers = min(_max_workers(len(grid)), int(manifest.mem_cap_gb // est_gb))
     # Every input is checked by now; an output directory that cannot be
     # made fails here, before any clustering time is spent.
     if manifest.output_dir is not None:

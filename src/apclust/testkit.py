@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimilarityMatrix
-from .errors import GenerationError, InputError
+from .errors import InputError
 from .geo import GeoPoint, unproject
 
 # Enumeration is 2^n; past this the oracle refuses rather than grind.
@@ -46,8 +46,8 @@ class SyntheticSpec:
             raise InputError("blob_sigma_m must be non-negative")
 
 
-def brute_force_exemplars(m: SimilarityMatrix, max_n: int = MAX_ORACLE_N) -> tuple[tuple[int, ...], float]:
-    """Globally optimal exemplar set by exhaustive subset enumeration.
+def brute_force_exemplars(m: SimilarityMatrix) -> tuple[tuple[int, ...], float]:
+    """Globally optimal exemplar set by exhaustive subset enumeration, for n <= MAX_ORACLE_N.
 
     The objective is the net similarity: each non-exemplar contributes its
     similarity to the nearest exemplar (the optimal assignment for a fixed
@@ -63,8 +63,8 @@ def brute_force_exemplars(m: SimilarityMatrix, max_n: int = MAX_ORACLE_N) -> tup
     """
     preferences = m.preferences()
     n = m.n
-    if n > max_n:
-        raise InputError(f"brute force refused for n={n} (cap {max_n}: 2^n subsets)")
+    if n > MAX_ORACLE_N:
+        raise InputError(f"brute force refused for n={n} (cap {MAX_ORACLE_N}: 2^n subsets)")
     s = m.s
     n_masks = 1 << n
 
@@ -113,7 +113,7 @@ def generate_blobs(spec: SyntheticSpec) -> np.ndarray:
                 centers.append(cand)
                 break
         else:
-            raise GenerationError(
+            raise InputError(
                 f"could not place {spec.n_blobs} centers {spec.min_separation_m} m apart "
                 f"in a {2 * _FRAME_HALF_WIDTH_M / 1000:.0f} km square"
             )

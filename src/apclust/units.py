@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ClusterResult
-from .errors import DerivationError, InputError
+from .errors import InputError
 from .geo import (
     DEFAULT_BUFFER_M,
     ClusterPolygon,
@@ -79,11 +79,12 @@ def classify_level(median_intersections: float, t: ScaleThresholds = ScaleThresh
 def count_intersections(ua_polygons: list[ClusterPolygon], intersections) -> list[int]:
     """Intersection points contained in each polygon (boundary-inclusive).
 
+    intersections is (m, 2) planar rows; an empty array or list counts none.
     A point inside two overlapping polygons counts in both. Linear scan:
     a bounding box per polygon picks the candidates, then contains tests
     each one, skipping the edges whose boxes lie above or below it.
     """
-    xy = planar_to_array(intersections if intersections is not None else []).reshape(-1, 2)
+    xy = planar_to_array(intersections).reshape(-1, 2)
     counts = []
     for poly in ua_polygons:
         xmin, ymin = poly.ring.min(axis=0)
@@ -114,7 +115,7 @@ def derive_meso_threshold(intersections, cell_km: float = 1.0) -> int:
         raise InputError(f"cell_km must be positive and finite, got {cell_km}")
     xy = planar_to_array(intersections)
     if xy.size == 0:
-        raise DerivationError(
+        raise InputError(
             "no intersections supplied; set the meso threshold manually"
         )
     xmin, ymin = xy.min(axis=0)

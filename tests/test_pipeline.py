@@ -99,7 +99,7 @@ class TestIngest:
     def test_reads_valid_rows(self, crash_csv):
         result = ingest_crashes(crash_csv)
         assert result.n_rows == 60
-        assert result.n_dropped == 0
+        assert result.n_rows - result.lonlat.shape[0] == 0
         assert result.lonlat.dtype == np.float64 and result.lonlat.shape == (60, 2)
 
     def test_case_insensitive_headers_and_extra_columns(self, tmp_path):
@@ -142,7 +142,7 @@ class TestIngest:
             (-30.7, -180.0),
         ]
         assert result.n_rows == 13
-        assert result.n_dropped == 9
+        assert result.n_rows - result.lonlat.shape[0] == 9
 
     def test_polar_row_refused_by_line(self, tmp_path):
         # 89.95 is a valid latitude, so the row on line 4 is kept, then refused.
@@ -182,7 +182,7 @@ class TestIngest:
         result = ingest_crashes(path)
         assert result.lonlat[:, 1].tolist() == [-30.05, -30.07]
         assert result.n_rows == 3
-        assert result.n_dropped == 1
+        assert result.n_rows - result.lonlat.shape[0] == 1
 
     def test_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "bom.csv"
@@ -207,7 +207,7 @@ class TestIngest:
                 ingest_crashes(path)
             return
         result = ingest_crashes(path)
-        assert (result.n_rows, result.n_dropped) == (n_rows, n_dropped)
+        assert (result.n_rows, result.n_rows - result.lonlat.shape[0]) == (n_rows, n_dropped)
         assert result.lonlat.shape == (len(points), 2)
         assert result.lonlat.tobytes() == np.array([(p.lon, p.lat) for p in points], dtype=np.float64).tobytes()
         assert [GeoPoint(lon, lat) for lon, lat in result.lonlat.tolist()] == points
@@ -237,7 +237,7 @@ class TestIngest:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.n_rows == n and result.n_dropped == 0
+        assert result.n_rows == n and result.n_rows - result.lonlat.shape[0] == 0
         assert peak / n < 64, f"{peak / n:.1f} bytes per row"
 
     def test_origin_is_left_to_right_mean_across_reruns(self, tmp_path):
@@ -409,6 +409,16 @@ class TestRunSweep:
         manifest = small_manifest(crash_csv, tmp_path / "out", thresholds="derive")
         with pytest.raises(InputError):
             run_sweep(manifest)
+
+    def test_derived_bound_not_above_micro_max_is_input_error(self, crash_csv, tmp_path):
+        # One intersection per occupied 1 km cell derives a meso bound of 1, the default micro_max.
+        grid = tmp_path / "grid.csv"
+        xy = np.array([(2000.0 * i, 2000.0 * j) for i in range(5) for j in range(5)])
+        write_points_csv(unproject(xy, BLOB_FRAME_ORIGIN), grid)
+        manifest = small_manifest(crash_csv, tmp_path / "out", input_intersections=grid, thresholds="derive")
+        with pytest.raises(InputError, match="not above micro_max 1"):
+            run_sweep(manifest)
+        assert not (tmp_path / "out").exists()
 
     def test_oversized_sample_refused(self, crash_csv, tmp_path):
         manifest = small_manifest(crash_csv, tmp_path / "out", sample_sizes=[61])
@@ -591,13 +601,17 @@ class TestCli:
         assert "outside lon [-180, 180], lat [-90, 90]" in err
         assert list(out.iterdir()) == []
 
-    def test_repeated_q_exit_2(self, crash_csv, tmp_path, capsys):
+    # -0 and 0 are one q level, so their cells would write one file.
+    @pytest.mark.parametrize(
+        ("q_levels", "name"), [("0.5,0.5", "clusters_q0.5_s30.geojson"), ("0,-0", "clusters_q0_s30.geojson")]
+    )
+    def test_repeated_q_exit_2(self, q_levels, name, crash_csv, tmp_path, capsys):
         out = tmp_path / "out"
-        code = main(["sweep", "--input", str(crash_csv), "--q", "0.5,0.5", "--samples", "30", "--out", str(out)])
+        code = main(["sweep", "--input", str(crash_csv), "--q", q_levels, "--samples", "30", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err
-        assert "clusters_q0.5_s30.geojson" in err
+        assert name in err
         assert not out.exists()
 
     def test_over_long_field_exit_2(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apclust.core import ApcConfig, run_apc
-from apclust.errors import DerivationError, InputError
+from apclust.errors import InputError
 from apclust.units import (
     ScaleThresholds,
     build_units,
@@ -89,7 +89,7 @@ class TestCountIntersections:
     def test_empty_inventory(self):
         square = polygonize(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]))
         assert count_intersections([square], np.empty((0, 2))) == [0]
-        assert count_intersections([square], None) == [0]
+        assert count_intersections([square], []) == [0]
 
     def test_overlapping_polygons_count_twice(self):
         a = polygonize(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]))
@@ -161,7 +161,7 @@ class TestDeriveThreshold:
         assert derive_meso_threshold(far) == 4
 
     def test_no_intersections_refused(self):
-        with pytest.raises(DerivationError):
+        with pytest.raises(InputError, match="no intersections supplied"):
             derive_meso_threshold(np.empty((0, 2)))
 
     def test_cell_size_positive(self):
