@@ -187,9 +187,15 @@ def _cell_seed(rng_seed: int, sample_size: int, q: float) -> int:
 
 
 def _max_workers(n_cells: int) -> int:
+    """Threads for n_cells cells: APCLUST_THREADS if set, else the CPUs this process may run on.
+
+    os.cpu_count() also counts CPUs a cpuset or taskset withholds, and two
+    threads on one core would share the L2 the kernel's row blocks are
+    sized for; it is used only where the OS reports no CPU affinity.
+    """
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
-        limit = os.cpu_count() or 1
+        limit = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     else:
         try:
             limit = int(raw)

@@ -20,6 +20,7 @@ from .errors import InputError
 from .geo import (
     DEFAULT_BUFFER_M,
     ClusterPolygon,
+    _convex_hull,
     contains,
     planar_to_array,
     polygonize,
@@ -81,8 +82,18 @@ def count_intersections(ua_polygons: list[ClusterPolygon], intersections) -> lis
 
     intersections is (m, 2) planar rows; an empty array or list counts none.
     A point inside two overlapping polygons counts in both. Linear scan:
-    a bounding box per polygon picks the candidates, then contains tests
-    each one, skipping the edges whose boxes lie above or below it.
+    the polygon's bounding box picks the candidates, the edge lines of the
+    ring's convex hull cut them, both widened by 1 m, and contains tests
+    each survivor, skipping the edges whose boxes lie above or below it.
+
+    A ring lies inside the hull of its vertices (a flat one's is a
+    segment), so a point more than 1 m outside a hull edge line is farther
+    than _BOUNDARY_EPS_M from the ring, and contains would refuse it. The
+    hull, not the ring, draws the lines, because a ring may be non-convex.
+    The cross product rounds by about 1e-16 times the coordinates, far
+    below 1 m in a projected frame (|x|, |y| up to about 2e7 m); past
+    1e15 m contains' own rounding nears 1 m. The box drops NaN and +-inf
+    points; a NaN product from a non-finite ring keeps its point.
     """
     xy = planar_to_array(intersections).reshape(-1, 2)
     counts = []
@@ -95,8 +106,14 @@ def count_intersections(ua_polygons: list[ClusterPolygon], intersections) -> lis
             & (xy[:, 1] >= ymin - 1.0)
             & (xy[:, 1] <= ymax + 1.0)
         )
+        cand = xy[near]
+        far = np.zeros(cand.shape[0], dtype=bool)
+        hull = _convex_hull(poly.ring[:-1]).tolist()
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
+            dx, dy = x2 - x1, y2 - y1
+            far |= dx * (cand[:, 1] - y1) - dy * (cand[:, 0] - x1) < -math.hypot(dx, dy)
         # Pairs read lazily: a list of all candidates would cost about 120 bytes each.
-        flat = iter(memoryview(xy[near].reshape(-1)))
+        flat = iter(memoryview(cand[~far].reshape(-1)))
         counts.append(sum(contains(poly, pt) for pt in zip(flat, flat)))
     return counts
 

@@ -510,6 +510,13 @@ class TestRunSweep:
         cells = run_sweep(small_manifest(crash_csv, tmp_path / "out"))
         assert len(cells) == 4
 
+    def test_default_thread_cap_counts_usable_cpus(self, monkeypatch):
+        # Pinned to one CPU of eight, a six-cell sweep runs one cell at a time.
+        monkeypatch.delenv("APCLUST_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert pipeline._max_workers(6) == 1
+
     def test_bad_thread_env_refused(self, crash_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("APCLUST_THREADS", "many")
         with pytest.raises(InputError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apclust import units
 from apclust.core import ApcConfig, run_apc
 from apclust.errors import InputError
 from apclust.units import (
@@ -39,6 +40,20 @@ def member_sets(draw) -> np.ndarray:
         nodes = draw(st.lists(st.tuples(GRID, GRID), min_size=1, max_size=4))
         pts = draw(st.lists(st.sampled_from(nodes), min_size=n, max_size=n))
     return np.array(pts, dtype=np.float64)
+
+
+def near_edges(poly: ClusterPolygon) -> np.ndarray:
+    """The ring's vertices and edge midpoints, and points beside each midpoint along its outward normal.
+
+    The normal steps straddle the 1 m margin of the hull cut before
+    contains: 0.5 m inside, then 0.5, 1 - 1e-6, 1 + 1e-6 and 1.5 m outside.
+    """
+    mid = (poly.ring[:-1] + poly.ring[1:]) / 2.0
+    d = poly.ring[1:] - poly.ring[:-1]
+    # Right of a counter-clockwise ring's edge is outside.
+    normal = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    steps = [mid + t * normal for t in (-0.5, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 1.5)]
+    return np.vstack([poly.ring, mid, *steps])
 
 
 class TestClassifyLevel:
@@ -110,6 +125,52 @@ class TestCountIntersections:
         assert sum(first) > 100
         assert sorted(map(id, built)) == sorted(map(id, polys))
 
+    def test_contains_called_only_for_points_that_may_lie_inside(self, monkeypatch):
+        # The grid fills the diamond's bounding box, every point at least
+        # 1.77 m from each edge line, so the hull cut leaves only the inside
+        # points for contains; the box alone would pass all 400 of them.
+        calls = []
+        monkeypatch.setattr(units, "contains", lambda poly, pt: calls.append(pt) or contains(poly, pt))
+        diamond = polygonize(np.array([[0.0, -100.0], [100.0, 0.0], [0.0, 100.0], [-100.0, 0.0]]))
+        grid = np.array([[-97.5 + 10.0 * i, -95.0 + 10.0 * j] for i in range(20) for j in range(20)])
+        [count] = count_intersections([diamond], grid)
+        assert count == sum(abs(x) + abs(y) <= 100.0 for x, y in grid.tolist()) > 150
+        assert len(calls) == count
+
+    @pytest.mark.parametrize(
+        "ring,pts,inside",
+        [
+            # A square with a notch cut down from its top edge. Points left
+            # of the notch's edge lines lie inside the ring, so a cut by the
+            # ring's own edges would drop them; the notch itself is inside
+            # the hull but outside the ring.
+            (
+                [[0, 0], [100, 0], [100, 100], [60, 100], [50, 40], [40, 100], [0, 100], [0, 0]],
+                [
+                    [10, 50], [90, 50], [50, 20], [50, 39.5], [20, 98.5],  # inside the ring
+                    [50, 80], [50, 41.5], [45, 99], [55, 99],  # in the notch
+                    [40, 100], [50, 40], [45, 70],  # on the notch's boundary
+                    [50, 101.5], [101.5, 50], [-1.5, -1.5], [50, -100], [150, 150],  # outside the hull
+                    [50, 100.5], [100.5, 50],  # outside, within 1 m of the hull
+                ],
+                8,
+            ),
+            # A ring along one line, whose hull is a segment: the cut keeps
+            # the points within 1 m of its line, and contains takes those on it.
+            (
+                [[0, 0], [100, 100], [50, 50], [0, 0]],
+                [[0, 0], [30, 30], [100, 100], [30, 30.5], [30, 32], [101, 101]],
+                3,
+            ),
+        ],
+        ids=["notched", "flat"],
+    )
+    def test_hand_built_ring_cut_by_its_hull(self, ring, pts, inside):
+        poly = ClusterPolygon(ring=np.array(ring, dtype=np.float64))
+        pts = np.array(pts, dtype=np.float64)
+        [count] = count_intersections([poly], pts)
+        assert count == sum(contains(poly, pt) for pt in pts.tolist()) == inside
+
 
 class TestPolygonsMatchReference:
     @settings(max_examples=300, deadline=None)
@@ -126,14 +187,25 @@ class TestPolygonsMatchReference:
             assert poly.ring.dtype == np.float64 and poly.ring.shape == expected.shape
             assert poly.ring.tobytes() == expected.tobytes()
             assert poly.area_km2.hex() == ref.area_km2.hex()
-        # Vertices and edge midpoints put candidates on the boundary.
-        pts = np.vstack(
-            [np.array(scattered, dtype=np.float64).reshape(-1, 2)]
-            + [p.ring for p in polys]
-            + [(p.ring[:-1] + p.ring[1:]) / 2.0 for p in polys]
-        )
+        pts = np.vstack([np.array(scattered, dtype=np.float64).reshape(-1, 2)] + [near_edges(p) for p in polys])
         counts = count_intersections(polys, pts)
         assert counts == reference_count_intersections(refs, pts)
+        assert counts == [sum(contains(p, pt) for pt in pts.tolist()) for p in polys]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(member_sets(), min_size=1, max_size=3),
+        st.floats(min_value=0.5, max_value=50.0),
+        st.tuples(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15)),
+        st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+    )
+    def test_counts_far_from_the_origin(self, member_lists, buffer_m, exponents, signs):
+        # Rings and points shifted by up to 1e15 m, where 1 m is eight
+        # ulps, count what per-point contains counts.
+        shift = np.array(signs) * 10.0 ** np.array(exponents)
+        polys = [polygonize(xy + shift, buffer_m=buffer_m) for xy in member_lists]
+        pts = np.vstack([near_edges(p) for p in polys])
+        counts = count_intersections(polys, pts)
         assert counts == [sum(contains(p, pt) for pt in pts.tolist()) for p in polys]
 
 
