@@ -45,14 +45,15 @@ def member_sets(draw) -> np.ndarray:
 def near_edges(poly: ClusterPolygon) -> np.ndarray:
     """The ring's vertices and edge midpoints, and points beside each midpoint along its outward normal.
 
-    The normal steps straddle the 1 m margin of the hull cut before
-    contains: 0.5 m inside, then 0.5, 1 - 1e-6, 1 + 1e-6 and 1.5 m outside.
+    The normal steps straddle the 1 m margins of the hull cuts before
+    contains on both sides: 0.5, 1 - 1e-6, 1 + 1e-6 and 1.5 m inside and
+    outside.
     """
     mid = (poly.ring[:-1] + poly.ring[1:]) / 2.0
     d = poly.ring[1:] - poly.ring[:-1]
     # Right of a counter-clockwise ring's edge is outside.
     normal = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
-    steps = [mid + t * normal for t in (-0.5, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 1.5)]
+    steps = [mid + s * t * normal for s in (-1.0, 1.0) for t in (0.5, 1.0 - 1e-6, 1.0 + 1e-6, 1.5)]
     return np.vstack([poly.ring, mid, *steps])
 
 
@@ -119,7 +120,9 @@ class TestCountIntersections:
         monkeypatch.setattr(table, "func", lambda poly: built.append(poly) or build(poly))
         rng = np.random.default_rng(3)
         polys = [polygonize(rng.normal(c, 100.0, size=(12, 2))) for c in (0.0, 150.0, 2000.0, -900.0)]
-        pts = rng.uniform(-1200.0, 2300.0, size=(5000, 2))
+        # Points deep inside a ring never reach contains, so each ring also
+        # gets points near its edges, which do.
+        pts = np.vstack([rng.uniform(-1200.0, 2300.0, size=(5000, 2))] + [near_edges(p) for p in polys])
         first = count_intersections(polys, pts)
         assert count_intersections(polys, pts) == first
         assert sum(first) > 100
@@ -127,15 +130,23 @@ class TestCountIntersections:
 
     def test_contains_called_only_for_points_that_may_lie_inside(self, monkeypatch):
         # The grid fills the diamond's bounding box, every point at least
-        # 1.77 m from each edge line, so the hull cut leaves only the inside
-        # points for contains; the box alone would pass all 400 of them.
+        # 1.77 m from each edge line, so the hull cuts decide all 400 of them
+        # without contains: more than 1 m outside an edge line is out, more
+        # than 1 m inside all of them is in. Only the points 0.5 m either
+        # side of each edge midpoint reach contains.
         calls = []
         monkeypatch.setattr(units, "contains", lambda poly, pt: calls.append(pt) or contains(poly, pt))
         diamond = polygonize(np.array([[0.0, -100.0], [100.0, 0.0], [0.0, 100.0], [-100.0, 0.0]]))
         grid = np.array([[-97.5 + 10.0 * i, -95.0 + 10.0 * j] for i in range(20) for j in range(20)])
+        # 0.5 m along the unit normal (1, 1) / sqrt(2) of each edge midpoint (+-50, +-50).
+        off = 0.5 / np.sqrt(2.0)
+        shell = np.array([[sx * (50.0 + t), sy * (50.0 + t)] for sx in (-1, 1) for sy in (-1, 1) for t in (-off, off)])
         [count] = count_intersections([diamond], grid)
         assert count == sum(abs(x) + abs(y) <= 100.0 for x, y in grid.tolist()) > 150
-        assert len(calls) == count
+        assert calls == []
+        [count_shell] = count_intersections([diamond], np.vstack([grid, shell]))
+        assert count_shell == count + 4
+        assert sorted(calls) == sorted(map(tuple, shell.tolist()))
 
     @pytest.mark.parametrize(
         "ring,pts,inside",
@@ -162,8 +173,41 @@ class TestCountIntersections:
                 [[0, 0], [30, 30], [100, 100], [30, 30.5], [30, 32], [101, 101]],
                 3,
             ),
+            # A {5/2} pentagram, counter-clockwise and self-crossing. Its hull
+            # is the pentagon through the same five vertices, and its centre,
+            # wound twice, lies outside by the ray cast, though it is about
+            # 80 m inside every hull edge line.
+            (
+                [[0, 100], [-58.779, -80.902], [95.106, 30.902], [-95.106, 30.902], [58.779, -80.902], [0, 100]],
+                [
+                    [0, 0], [0, 10], [10, -5],  # the centre pentagon, wound twice
+                    [0, 60], [-50, 20], [45, 20], [-25, -50], [25, -50],  # one arm each, wound once
+                    [40, 60], [-40, 60], [70, -20], [-70, -20], [0, -75],  # between the arms
+                    [0, 100], [-58.779, -80.902],  # vertices
+                ],
+                7,
+            ),
+            # The same square three ways: clockwise, with a repeated vertex,
+            # and not closed, its last vertex in the middle. Only the closed
+            # counter-clockwise hull itself lets the inner cut decide; here
+            # contains decides, and for the open ring (20, 50) lies outside.
+            (
+                [[0, 0], [0, 100], [100, 100], [100, 0], [0, 0]],
+                [[20, 50], [80, 50], [50, 98.5], [50, 99.5], [0, 50], [100, 100], [50, 100.5], [150, 50]],
+                6,
+            ),
+            (
+                [[0, 0], [100, 0], [100, 0], [100, 100], [0, 100], [0, 0]],
+                [[20, 50], [80, 50], [50, 98.5], [50, 99.5], [0, 50], [100, 100], [50, 100.5], [150, 50]],
+                6,
+            ),
+            (
+                [[0, 0], [100, 0], [100, 100], [0, 100], [50, 50]],
+                [[20, 50], [10, 80], [80, 50], [50, 20], [25, 75], [50, 100.5], [150, 50]],
+                3,
+            ),
         ],
-        ids=["notched", "flat"],
+        ids=["notched", "flat", "pentagram", "clockwise", "repeated_vertex", "unclosed"],
     )
     def test_hand_built_ring_cut_by_its_hull(self, ring, pts, inside):
         poly = ClusterPolygon(ring=np.array(ring, dtype=np.float64))
