@@ -9,7 +9,6 @@ frame; areas are reported in km². Coordinates travel as (n, 2) arrays,
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,26 +47,28 @@ class PlanarPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class ClusterPolygon:
-    """A simple, closed, counter-clockwise ring around one cluster, as an (m + 1, 2) planar array.
+    """A closed ring around one cluster: an (m + 1, 2) planar array, m >= 1, whose last row repeats its first.
 
-    The ring is not written in place after construction: contains reads an
-    edge table built from it on first use and kept for the polygon's life.
+    polygonize builds it simple and counter-clockwise. InputError refuses any
+    other shape, an unclosed ring or a non-finite vertex: none can be measured.
     """
 
     ring: np.ndarray
+
+    def __post_init__(self) -> None:
+        ring = self.ring
+        if not isinstance(ring, np.ndarray) or ring.ndim != 2 or ring.shape[0] < 2 or ring.shape[1] != 2:
+            got = getattr(ring, "shape", type(ring).__name__)
+            raise InputError(f"polygon ring must be an (m + 1, 2) array with m >= 1, got {got}")
+        if not np.isfinite(ring).all():
+            raise InputError("polygon ring has a non-finite vertex")
+        if not np.array_equal(ring[0], ring[-1]):
+            raise InputError(f"polygon ring is not closed: last row {ring[-1].tolist()} is not its first")
 
     @property
     def area_km2(self) -> float:
         """Shoelace area of the ring in km², non-negative regardless of orientation."""
         return abs(_ring_signed_area_m2(self.ring[:-1])) / 1e6
-
-    @functools.cached_property
-    def _edges(self) -> list[tuple[float, ...]]:
-        """Per edge: its box widened by 1 m as (ylo, yhi, xlo, xhi), then x1, y1, x2, y2."""
-        return [
-            (min(y1, y2) - 1.0, max(y1, y2) + 1.0, min(x1, x2) - 1.0, max(x1, x2) + 1.0, x1, y1, x2, y2)
-            for (x1, y1), (x2, y2) in itertools.pairwise(self.ring.tolist())
-        ]
 
 
 def valid_lonlat(lon, lat):
@@ -206,17 +207,14 @@ def polygonize(members, buffer_m: float = DEFAULT_BUFFER_M) -> ClusterPolygon:
 def contains(p: ClusterPolygon, pt) -> bool:
     """Ray-casting point-in-polygon test on an (x, y) pair; boundary points count as inside.
 
-    An edge whose box, widened by 1 m, lies above or below the point can be
-    neither crossed nor within _BOUNDARY_EPS_M of it, so it is skipped; one
-    beside the point is tested for crossing only. NaN fails every comparison
-    and takes the full test.
+    On the boundary means within _BOUNDARY_EPS_M (1e-9 m) of an edge, up to
+    the rounding of the coordinates: under 1 m out to about 1e15 m, but past
+    about 1e16 m a point over 1 m off an edge can count as on it.
     """
     x, y = pt
     inside = False
-    for ylo, yhi, xlo, xhi, x1, y1, x2, y2 in p._edges:
-        if y < ylo or y > yhi:
-            continue
-        if not (x < xlo or x > xhi) and _on_segment(x, y, x1, y1, x2, y2):
+    for (x1, y1), (x2, y2) in itertools.pairwise(p.ring.tolist()):
+        if _on_segment(x, y, x1, y1, x2, y2):
             return True
         if (y1 > y) != (y2 > y):
             x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)

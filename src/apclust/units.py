@@ -85,8 +85,7 @@ def count_intersections(ua_polygons: list[ClusterPolygon], intersections) -> lis
     the polygon's bounding box picks the candidates and the edge lines of
     the ring's convex hull sort them, each with a 1 m margin. A candidate
     more than 1 m outside some line is out; one more than 1 m inside every
-    line is in where the ring is its own hull; contains tests the rest,
-    skipping the edges whose boxes lie above or below it.
+    line is in where the ring is its own hull; contains tests the rest.
 
     A ring lies inside the hull of its vertices (a flat one's is a
     segment), so a point more than 1 m outside a hull edge line is farther
@@ -96,15 +95,14 @@ def count_intersections(ua_polygons: list[ClusterPolygon], intersections) -> lis
     ring is, it is convex and counter-clockwise, and a point more than 1 m
     inside each edge line is farther than _BOUNDARY_EPS_M from each edge and
     at least as far from each crossing of its rightward ray, so contains
-    would take it. A notched, clockwise, repeated-vertex, self-crossing,
-    unclosed or NaN ring is not its hull, and contains decides every
-    candidate the outer cut keeps. An edge with an infinite end has an
-    infinite or NaN length, which no point clears.
+    would take it. A notched, clockwise, repeated-vertex or self-crossing
+    ring is not its hull, and contains decides every candidate the outer
+    cut keeps.
 
     The cross product rounds by about 1e-16 times the coordinates, far
     below 1 m in a projected frame (|x|, |y| up to about 2e7 m); past
     1e15 m contains' own rounding nears 1 m. The box drops NaN and +-inf
-    points; a NaN product from a non-finite ring keeps its point.
+    points.
     """
     # Strided views: contiguous copies would compare faster but add 16 bytes
     # per inventory point to the peak resident set.

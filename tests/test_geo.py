@@ -35,7 +35,7 @@ LATS = st.one_of(st.floats(min_value=-90.0, max_value=90.0), st.sampled_from([-0
 
 # Ring centres out to +-2e7 m, where one ulp is about 4e-9 m.
 CENTRES = st.one_of(st.sampled_from([0.0, -2e7, 2e7, 1e6]), st.floats(min_value=-2e7, max_value=2e7))
-# Perpendicular offsets from an edge around _BOUNDARY_EPS_M (1e-9 m) and the 1 m edge-box margin.
+# Perpendicular offsets from an edge around _BOUNDARY_EPS_M (1e-9 m).
 EDGE_OFFSETS_M = (0.0, 1e-10, 1e-9, 2e-9, 0.999, 1.0, 1.001)
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -186,6 +186,49 @@ def square_ring(side: float) -> ClusterPolygon:
     return ClusterPolygon(ring=np.array(corners))
 
 
+class TestClusterPolygon:
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            # Measured without its closing row, this square read 0.005 km², not 0.01.
+            [[0, 0], [100, 0], [100, 100], [0, 100]],
+            # The ray cast walked this one without a closing edge and put (20, 50) outside.
+            [[0, 0], [100, 0], [100, 100], [0, 100], [50, 50]],
+        ],
+        ids=["no_closing_row", "ends_in_the_middle"],
+    )
+    def test_unclosed_ring_refused(self, ring):
+        with pytest.raises(InputError, match="not closed"):
+            ClusterPolygon(ring=np.array(ring, dtype=np.float64))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_non_finite_vertex_refused(self, value, row):
+        ring = square_ring(100.0).ring.copy()
+        ring[row, 0] = value
+        if row == 0:
+            ring[-1, 0] = value
+        with pytest.raises(InputError, match="non-finite vertex"):
+            ClusterPolygon(ring=ring)
+
+    @pytest.mark.parametrize(
+        "ring",
+        [np.zeros((1, 2)), np.zeros((4, 3)), np.zeros(8), np.zeros((2, 2, 2)), [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]],
+        ids=["one_row", "three_columns", "flat_array", "three_dims", "list"],
+    )
+    def test_ring_not_an_m_plus_1_by_2_array_refused(self, ring):
+        with pytest.raises(InputError, match=r"\(m \+ 1, 2\) array"):
+            ClusterPolygon(ring=ring)
+
+    @pytest.mark.parametrize("member", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 5.0)])
+    def test_polygonize_refuses_a_non_finite_member(self, member):
+        # The hull's area test reads NaN over an infinite vertex before the ring is refused.
+        with np.errstate(invalid="ignore"), pytest.raises(InputError, match="non-finite vertex"):
+            polygonize(np.array([member, (10.0, 0.0), (0.0, 10.0)]))
+        with pytest.raises(InputError, match="non-finite vertex"):
+            polygonize(np.array([member]))
+
+
 class TestAreas:
     def test_unit_square(self):
         assert square_ring(1.0).area_km2 == pytest.approx(1e-6, rel=1e-9)
@@ -284,6 +327,10 @@ class TestContains:
     @settings(max_examples=300, deadline=None)
     @given(hard_rings(), st.floats(min_value=-0.5, max_value=1.5))
     def test_matches_reference_near_edges(self, ring, along):
+        if not np.isfinite(ring).all():
+            with pytest.raises(InputError, match="non-finite vertex"):
+                ClusterPolygon(ring=ring)
+            return
         poly = ClusterPolygon(ring=ring)
         # reference_contains reads only the ring.
         ref = ReferencePolygon(ring=[PlanarPoint(x, y) for x, y in ring.tolist()], area_km2=math.nan)

@@ -112,22 +112,6 @@ class TestCountIntersections:
         b = polygonize(np.array([[5.0, 0.0], [15.0, 0.0], [15.0, 10.0], [5.0, 10.0]]))
         assert count_intersections([a, b], np.array([[7.0, 5.0]])) == [1, 1]
 
-    def test_edge_table_built_once_per_polygon(self, monkeypatch):
-        # A rebuild per contains call would cost more than the edge boxes save.
-        table = ClusterPolygon.__dict__["_edges"]
-        build = table.func
-        built = []
-        monkeypatch.setattr(table, "func", lambda poly: built.append(poly) or build(poly))
-        rng = np.random.default_rng(3)
-        polys = [polygonize(rng.normal(c, 100.0, size=(12, 2))) for c in (0.0, 150.0, 2000.0, -900.0)]
-        # Points deep inside a ring never reach contains, so each ring also
-        # gets points near its edges, which do.
-        pts = np.vstack([rng.uniform(-1200.0, 2300.0, size=(5000, 2))] + [near_edges(p) for p in polys])
-        first = count_intersections(polys, pts)
-        assert count_intersections(polys, pts) == first
-        assert sum(first) > 100
-        assert sorted(map(id, built)) == sorted(map(id, polys))
-
     def test_contains_called_only_for_points_that_may_lie_inside(self, monkeypatch):
         # The grid fills the diamond's bounding box, every point at least
         # 1.77 m from each edge line, so the hull cuts decide all 400 of them
@@ -187,10 +171,9 @@ class TestCountIntersections:
                 ],
                 7,
             ),
-            # The same square three ways: clockwise, with a repeated vertex,
-            # and not closed, its last vertex in the middle. Only the closed
-            # counter-clockwise hull itself lets the inner cut decide; here
-            # contains decides, and for the open ring (20, 50) lies outside.
+            # The same square two ways: clockwise, and with a repeated
+            # vertex. Only the closed counter-clockwise hull itself lets the
+            # inner cut decide; here contains decides.
             (
                 [[0, 0], [0, 100], [100, 100], [100, 0], [0, 0]],
                 [[20, 50], [80, 50], [50, 98.5], [50, 99.5], [0, 50], [100, 100], [50, 100.5], [150, 50]],
@@ -201,13 +184,8 @@ class TestCountIntersections:
                 [[20, 50], [80, 50], [50, 98.5], [50, 99.5], [0, 50], [100, 100], [50, 100.5], [150, 50]],
                 6,
             ),
-            (
-                [[0, 0], [100, 0], [100, 100], [0, 100], [50, 50]],
-                [[20, 50], [10, 80], [80, 50], [50, 20], [25, 75], [50, 100.5], [150, 50]],
-                3,
-            ),
         ],
-        ids=["notched", "flat", "pentagram", "clockwise", "repeated_vertex", "unclosed"],
+        ids=["notched", "flat", "pentagram", "clockwise", "repeated_vertex"],
     )
     def test_hand_built_ring_cut_by_its_hull(self, ring, pts, inside):
         poly = ClusterPolygon(ring=np.array(ring, dtype=np.float64))
