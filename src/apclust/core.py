@@ -10,7 +10,8 @@ iteration stops when those decisions stay constant for a configured number
 of sweeps.
 
 Similarities are negative squared Euclidean distances between planar
-coordinates, so the maximum similarity is 0 (identical points). The
+coordinates, so the maximum similarity is 0 (identical points). S is a
+plain n x n float64 array, and every function here takes it as one. The
 exemplar preference is the diagonal of S and is recorded nowhere else: a
 NaN there means no preference is set yet. Larger (closer to zero)
 preference values make points more eager to become exemplars and produce
@@ -47,38 +48,6 @@ _SCRATCH_BYTES = 2**19
 # with or without jitter, which the vectors' 8 * n floats already cover.
 _RUN_VECTORS = 8
 _RUN_OVERHEAD_BYTES = 2**19
-
-
-@dataclass
-class SimilarityMatrix:
-    """Dense pairwise similarities plus the preference diagonal.
-
-    ``s[i, k]`` holds the similarity of point i to candidate exemplar k
-    (dimensionless, larger = more similar). The diagonal is the preference:
-    build_similarity leaves it NaN, and a NaN there means no preference is
-    set. ``xy`` is a copy of the points S was built from, which a jittered
-    run rebuilds S from; a hand-built matrix has none.
-    """
-
-    s: np.ndarray
-    xy: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.s.shape[0]
-
-    def off_diagonal(self) -> np.ndarray:
-        """All entries s(i, k) with i != k, as a new flat array in row-major order."""
-        n = self.n
-        # Dropping s[0, 0] leaves each diagonal entry at the end of a row of n + 1.
-        return self.s.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].flatten()
-
-    def preferences(self) -> np.ndarray:
-        """The diagonal of S, as a read-only view; raises if a NaN there shows no preference is set."""
-        p = self.s.diagonal()
-        if np.isnan(p).any():
-            raise ValueError("preference has not been applied")
-        return p
 
 
 @dataclass(frozen=True)
@@ -128,16 +97,17 @@ class ClusterResult:
     net_similarity: float
 
 
-def build_similarity(points) -> SimilarityMatrix:
-    """Build s(i, k) = -||x_i - x_k||^2 from planar metric coordinates.
+def build_similarity(points) -> np.ndarray:
+    """Build the n x n array s(i, k) = -||x_i - x_k||^2 from planar metric coordinates.
 
-    The diagonal is left NaN until apply_preference / set_preference fills
-    it. At least two points are required, and no squared distance between
-    them may overflow float64. Coordinates must already be projected to
-    meters; differences are computed explicitly (blocked over rows) so
-    identical points yield an exact similarity of 0.
+    s[i, k] is the similarity of point i to candidate exemplar k. The
+    diagonal is the preference: it is left NaN until apply_preference /
+    set_preference fills it. At least two points are required, and no
+    squared distance between them may overflow float64. Coordinates must
+    already be projected to meters; differences are computed explicitly
+    (blocked over rows) so identical points yield an exact similarity of 0.
     """
-    xy = np.array(planar_to_array(points))
+    xy = planar_to_array(points)
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise InputError(f"expected planar (n, 2) coordinates, got shape {xy.shape}")
     n = xy.shape[0]
@@ -152,7 +122,7 @@ def build_similarity(points) -> SimilarityMatrix:
     # Finite coordinates can still overflow when squared; nanmin skips the NaN diagonal.
     if np.nanmin(s) == -np.inf:
         raise InputError("squared distances between points overflow float64")
-    return SimilarityMatrix(s=s, xy=xy)
+    return s
 
 
 def _fill_similarity(xy: np.ndarray, s: np.ndarray, diagonal) -> None:
@@ -165,32 +135,47 @@ def _fill_similarity(xy: np.ndarray, s: np.ndarray, diagonal) -> None:
     np.fill_diagonal(s, diagonal)
 
 
-def apply_preference(m: SimilarityMatrix, q: float) -> SimilarityMatrix:
+def off_diagonal(s: np.ndarray) -> np.ndarray:
+    """All entries s(i, k) with i != k, as a new flat array in row-major order."""
+    n = s.shape[0]
+    # Dropping s[0, 0] leaves each diagonal entry at the end of a row of n + 1.
+    return s.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].flatten()
+
+
+def preferences(s: np.ndarray) -> np.ndarray:
+    """The diagonal of S, as a read-only view; raises if a NaN there shows no preference is set."""
+    p = s.diagonal()
+    if np.isnan(p).any():
+        raise ValueError("preference has not been applied")
+    return p
+
+
+def apply_preference(s: np.ndarray, q: float) -> np.ndarray:
     """Set every diagonal entry to the q-quantile of the off-diagonal similarities.
 
     Uses linear interpolation, so q=0 gives the minimum and q=1 the
     maximum. Only the off-diagonal is read, so a second call just sets the
-    diagonal again. Modifies m in place and returns it.
+    diagonal again. Modifies s in place and returns it.
     """
     if not 0.0 <= q <= 1.0:
         raise InputError(f"q must be in [0, 1], got {q}")
-    p = float(np.quantile(m.off_diagonal(), q, overwrite_input=True))
-    np.fill_diagonal(m.s, p)
-    return m
+    p = float(np.quantile(off_diagonal(s), q, overwrite_input=True))
+    np.fill_diagonal(s, p)
+    return s
 
 
-def set_preference(m: SimilarityMatrix, preference) -> SimilarityMatrix:
+def set_preference(s: np.ndarray, preference) -> np.ndarray:
     """Set the diagonal to an explicit preference (scalar or per-point vector).
 
     Escape hatch for calibrated runs that bypass the quantile mapping,
     e.g. a preference strictly above the maximum off-diagonal similarity
-    to force every point into its own cluster. In place, returns m.
+    to force every point into its own cluster. In place, returns s.
     """
     p = np.asarray(preference, dtype=np.float64)
     if not np.isfinite(p).all():
         raise InputError("preference must be finite")
-    np.fill_diagonal(m.s, p)
-    return m
+    np.fill_diagonal(s, p)
+    return s
 
 
 def _block_rows(n: int) -> int:
@@ -293,7 +278,7 @@ def update_availabilities(
         a_blk += raw
 
 
-def decide_exemplars(m: SimilarityMatrix, criterion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def decide_exemplars(s: np.ndarray, criterion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extract exemplar indices and per-point assignments from the decision criterion.
 
     criterion[k] is a(k, k) + r(k, k), and point k is an exemplar when it is
@@ -307,60 +292,61 @@ def decide_exemplars(m: SimilarityMatrix, criterion: np.ndarray) -> tuple[np.nda
     exemplars = np.flatnonzero(criterion > 0)
     if exemplars.size == 0:
         exemplars = np.array([int(np.argmax(criterion))], dtype=np.intp)
-    labels = np.argmax(m.s[:, exemplars], axis=1)
+    labels = np.argmax(s[:, exemplars], axis=1)
     labels[exemplars] = np.arange(exemplars.size)
     for k in range(exemplars.size):
         members = np.flatnonzero(labels == k)
-        within = m.s[np.ix_(members, members)].sum(axis=0)
+        within = s[np.ix_(members, members)].sum(axis=0)
         exemplars[k] = members[int(np.argmax(within))]
     exemplars.sort()
-    assignment = exemplars[np.argmax(m.s[:, exemplars], axis=1)]
+    assignment = exemplars[np.argmax(s[:, exemplars], axis=1)]
     assignment[exemplars] = exemplars
     return exemplars, assignment
 
 
-def net_similarity(m: SimilarityMatrix, exemplars: np.ndarray, assignment: np.ndarray) -> float:
+def net_similarity(s: np.ndarray, exemplars: np.ndarray, assignment: np.ndarray) -> float:
     """Sum of s(i, assignment(i)) over non-exemplars plus the preference of each exemplar.
 
     This is the objective the message passing approximately maximizes.
     """
-    is_exemplar = np.zeros(m.n, dtype=bool)
+    is_exemplar = np.zeros(s.shape[0], dtype=bool)
     is_exemplar[exemplars] = True
     others = np.flatnonzero(~is_exemplar)
-    value = float(m.s[others, assignment[others]].sum())
-    value += float(m.preferences()[exemplars].sum())
+    value = float(s[others, assignment[others]].sum())
+    value += float(preferences(s)[exemplars].sum())
     return value
 
 
-def run_apc_on_matrix(m: SimilarityMatrix, config: ApcConfig) -> ClusterResult:
+def run_apc_on_matrix(s: np.ndarray, config: ApcConfig, xy: np.ndarray | None = None) -> ClusterResult:
     """Iterate message passing on a prepared similarity matrix until the exemplar decisions stabilize.
 
     Stops once the decision vector (which points satisfy a(k, k) + r(k, k) > 0)
     is unchanged for config.convergence_window consecutive iterations, or at
     config.max_iterations; the converged flag records which condition fired.
-    When jitter is enabled, seeded noise is added off the diagonal of m.s in
-    place; after the loop, even one that raises, m.s is rebuilt from m.xy and
-    its diagonal put back, so exemplar refinement, net similarity and the
-    caller see the clean matrix, bit for bit, in the same array.
+    When jitter is enabled, seeded noise is added off the diagonal of s in
+    place, so a jittered run needs xy, the (n, 2) array s was built from;
+    after the loop, even one that raises, s is rebuilt from xy and its
+    diagonal put back, so exemplar refinement, net similarity and the caller
+    see the clean matrix, bit for bit, in the same array.
     """
-    diagonal = m.preferences().copy()
+    diagonal = preferences(s).copy()
     if config.jitter_scale == 0:
-        criterion, converged, iterations = _pass_messages(m.s, config)
-    elif m.xy is None:
-        raise ValueError("jitter needs the points S was built from; use build_similarity")
+        criterion, converged, iterations = _pass_messages(s, config)
+    elif not isinstance(xy, np.ndarray) or xy.shape != (len(s), 2):
+        raise ValueError("jitter needs the points S was built from; pass them as xy")
     else:
-        _jitter(m.s, config.jitter_scale, config.rng_seed)
+        _jitter(s, config.jitter_scale, config.rng_seed)
         try:
-            criterion, converged, iterations = _pass_messages(m.s, config)
+            criterion, converged, iterations = _pass_messages(s, config)
         finally:
-            _fill_similarity(m.xy, m.s, diagonal)
-    exemplars, assignment = decide_exemplars(m, criterion)
+            _fill_similarity(xy, s, diagonal)
+    exemplars, assignment = decide_exemplars(s, criterion)
     return ClusterResult(
         exemplars=[int(e) for e in exemplars],
         assignment=assignment.astype(np.int64),
         converged=converged,
         iterations_run=iterations,
-        net_similarity=net_similarity(m, exemplars, assignment),
+        net_similarity=net_similarity(s, exemplars, assignment),
     )
 
 
@@ -420,6 +406,6 @@ def run_apc(points, config: ApcConfig) -> ClusterResult:
 
     Deterministic given the point order, the config, and its seed.
     """
-    m = build_similarity(points)
-    apply_preference(m, config.q)
-    return run_apc_on_matrix(m, config)
+    xy = planar_to_array(points)
+    s = apply_preference(build_similarity(xy), config.q)
+    return run_apc_on_matrix(s, config, xy)

@@ -195,6 +195,8 @@ def polygonize(members, buffer_m: float = DEFAULT_BUFFER_M) -> ClusterPolygon:
     xy = planar_to_array(members)
     if xy.ndim != 2 or xy.shape[0] == 0:
         raise InputError("polygonize requires at least one member point")
+    if not np.isfinite(xy).all():
+        raise InputError("a cluster member is a non-finite vertex")
     hull = _convex_hull(xy)
     if hull.shape[0] < 3 or _ring_signed_area_m2(hull) <= 0.0:
         b = float(buffer_m)

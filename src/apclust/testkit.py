@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimilarityMatrix
+from .core import preferences
 from .errors import InputError
 from .geo import GeoPoint, unproject
 
@@ -46,7 +46,7 @@ class SyntheticSpec:
             raise InputError("blob_sigma_m must be non-negative")
 
 
-def brute_force_exemplars(m: SimilarityMatrix) -> tuple[tuple[int, ...], float]:
+def brute_force_exemplars(s: np.ndarray) -> tuple[tuple[int, ...], float]:
     """Globally optimal exemplar set by exhaustive subset enumeration, for n <= MAX_ORACLE_N.
 
     The objective is the net similarity: each non-exemplar contributes its
@@ -61,11 +61,10 @@ def brute_force_exemplars(m: SimilarityMatrix) -> tuple[tuple[int, ...], float]:
     Column maxima are shared between subsets through a lowest-bit recurrence,
     so all 2^n - 1 candidate sets are scored in O(2^n * n) time and memory.
     """
-    preferences = m.preferences()
-    n = m.n
+    diagonal = preferences(s)
+    n = s.shape[0]
     if n > MAX_ORACLE_N:
         raise InputError(f"brute force refused for n={n} (cap {MAX_ORACLE_N}: 2^n subsets)")
-    s = m.s
     n_masks = 1 << n
 
     # colmax[mask, i] = max over k in mask of s[i, k]
@@ -77,7 +76,7 @@ def brute_force_exemplars(m: SimilarityMatrix) -> tuple[tuple[int, ...], float]:
 
     masks = np.arange(1, n_masks)
     member = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    values = member @ preferences + np.where(member, 0.0, colmax[1:]).sum(axis=1)
+    values = member @ diagonal + np.where(member, 0.0, colmax[1:]).sum(axis=1)
 
     best_value = float(values.max())
     tol = 1e-12 * max(1.0, abs(best_value))

@@ -24,9 +24,10 @@ from apclust.geo import (
     MAX_SUPPORTED_LAT_DEG,
     GeoPoint,
     PlanarPoint,
-    _on_segment,
-    _ring_signed_area_m2,
 )
+
+# The boundary tolerance geo.contains documents: a point within 1e-9 m of an edge is on it.
+BOUNDARY_EPS_M = 1e-9
 
 
 def reference_jittered(s: np.ndarray, scale: float, seed: int) -> np.ndarray:
@@ -156,15 +157,40 @@ def reference_convex_hull(xy: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=np.float64)
 
 
+def reference_signed_area_m2(xy: np.ndarray) -> float:
+    """Shoelace signed area of an open vertex list (no repeated endpoint)."""
+    x = xy[:, 0]
+    y = xy[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def reference_on_segment(x: float, y: float, x1: float, y1: float, x2: float, y2: float) -> bool:
+    """Whether (x, y) lies within BOUNDARY_EPS_M of the segment (x1,y1)-(x2,y2)."""
+    dx = x2 - x1
+    dy = y2 - y1
+    length_sq = dx * dx + dy * dy
+    if length_sq == 0.0:
+        ddx = x - x1
+        ddy = y - y1
+        return ddx * ddx + ddy * ddy <= BOUNDARY_EPS_M * BOUNDARY_EPS_M
+    t = ((x - x1) * dx + (y - y1) * dy) / length_sq
+    t = min(1.0, max(0.0, t))
+    px = x1 + t * dx
+    py = y1 + t * dy
+    ddx = x - px
+    ddy = y - py
+    return ddx * ddx + ddy * ddy <= BOUNDARY_EPS_M * BOUNDARY_EPS_M
+
+
 def reference_polygonize(xy: np.ndarray, buffer_m: float = DEFAULT_BUFFER_M) -> ReferencePolygon:
     """Hull of the members, buffered into squares when it encloses no area, as a PlanarPoint ring."""
     hull = reference_convex_hull(xy)
-    if hull.shape[0] < 3 or _ring_signed_area_m2(hull) <= 0.0:
+    if hull.shape[0] < 3 or reference_signed_area_m2(hull) <= 0.0:
         b = float(buffer_m)
         offsets = np.array([[-b, -b], [b, -b], [b, b], [-b, b]])
         corners = (xy[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
         hull = reference_convex_hull(corners)
-    area_m2 = _ring_signed_area_m2(hull)
+    area_m2 = reference_signed_area_m2(hull)
     ring = [PlanarPoint(x=float(p[0]), y=float(p[1])) for p in hull]
     ring.append(ring[0])
     return ReferencePolygon(ring=ring, area_km2=area_m2 / 1e6)
@@ -178,7 +204,7 @@ def reference_contains(p: ReferencePolygon, pt: PlanarPoint) -> bool:
     for i in range(len(ring) - 1):
         x1, y1 = ring[i].x, ring[i].y
         x2, y2 = ring[i + 1].x, ring[i + 1].y
-        if _on_segment(x, y, x1, y1, x2, y2):
+        if reference_on_segment(x, y, x1, y1, x2, y2):
             return True
         if (y1 > y) != (y2 > y):
             x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)

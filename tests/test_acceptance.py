@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import apclust
-from apclust.core import ApcConfig, build_similarity, apply_preference, run_apc, run_apc_on_matrix, set_preference
+from apclust.core import ApcConfig, build_similarity, apply_preference, off_diagonal, run_apc, run_apc_on_matrix, set_preference
 from apclust.geo import GeoPoint, PlanarPoint, contains, planar_to_array, polygonize, project, unproject
 from apclust.pipeline import RunManifest, run_sweep
 from apclust.testkit import BLOB_FRAME_ORIGIN, SyntheticSpec, brute_force_exemplars, generate_blobs, write_points_csv
@@ -82,7 +82,7 @@ def test_criterion_2_near_optimal_on_uniform_instances():
             jitter_scale=1e-6,
             rng_seed=9000 + i,
         )
-        result = run_apc_on_matrix(m, config)
+        result = run_apc_on_matrix(m, config, xy)
         _, optimum = brute_force_exemplars(m)
         hits += result.net_similarity >= optimum - 0.01 * abs(optimum)
     elapsed = time.perf_counter() - start
@@ -100,14 +100,14 @@ def test_criterion_3_all_singletons_when_preference_dominates():
     rng = np.random.default_rng(77)
     xy = rng.uniform(0.0, 1000.0, size=(20, 2))
     m = build_similarity(xy)
-    set_preference(m, float(m.off_diagonal().max()) * 0.5)
+    set_preference(m, float(off_diagonal(m).max()) * 0.5)
     result = run_apc_on_matrix(m, ApcConfig(q=0.5))
     assert result.exemplars == list(range(20))
     assert result.converged
 
     xy12 = xy[:12]
     m12 = build_similarity(xy12)
-    set_preference(m12, float(m12.off_diagonal().max()) * 0.5)
+    set_preference(m12, float(off_diagonal(m12).max()) * 0.5)
     result12 = run_apc_on_matrix(m12, ApcConfig(q=0.5))
     oracle_set, _ = brute_force_exemplars(m12)
     assert oracle_set == tuple(range(12))

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from apclust import core
 from apclust.core import (
     ApcConfig,
-    SimilarityMatrix,
     apply_preference,
     build_similarity,
     decide_exemplars,
     message_workspace,
     net_similarity,
+    off_diagonal,
+    preferences,
     run_apc,
     run_apc_on_matrix,
     set_preference,
@@ -32,25 +33,25 @@ from references import reference_availabilities, reference_jittered, reference_r
 LINE_XY = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
 
 
-def line_matrix() -> SimilarityMatrix:
+def line_matrix() -> np.ndarray:
     return build_similarity(LINE_XY)
 
 
 class TestBuildSimilarity:
     def test_negative_squared_distances(self):
-        m = line_matrix()
-        assert m.s[0, 1] == m.s[1, 0] == -1.0
-        assert m.s[0, 2] == m.s[2, 0] == -9.0
-        assert m.s[1, 2] == m.s[2, 1] == -4.0
+        s = line_matrix()
+        assert s[0, 1] == s[1, 0] == -1.0
+        assert s[0, 2] == s[2, 0] == -9.0
+        assert s[1, 2] == s[2, 1] == -4.0
 
     def test_identical_points_similarity_is_exact_zero(self):
-        m = build_similarity(np.array([[3.7, -2.1], [3.7, -2.1]]))
-        assert m.s[0, 1] == 0.0
-        assert m.s[1, 0] == 0.0
+        s = build_similarity(np.array([[3.7, -2.1], [3.7, -2.1]]))
+        assert s[0, 1] == 0.0
+        assert s[1, 0] == 0.0
 
     def test_diagonal_unset_until_preference(self):
-        m = line_matrix()
-        assert np.isnan(m.s.diagonal()).all()
+        s = line_matrix()
+        assert np.isnan(s.diagonal()).all()
 
     def test_non_finite_input_rejected(self):
         bad = np.array([[0.0, 0.0], [np.nan, 1.0]])
@@ -68,46 +69,44 @@ class TestBuildSimilarity:
         with pytest.raises(InputError, match="squared distances between points overflow float64"):
             run_apc(np.array([[0.0, 0.0], [1e200, 0.0], [3e200, 0.0]]), ApcConfig())
         # 1e308 is still finite, so the largest representable spread is accepted.
-        assert build_similarity(np.array([[0.0, 0.0], [1e154, 0.0]])).s[0, 1] == -1e308
+        assert build_similarity(np.array([[0.0, 0.0], [1e154, 0.0]]))[0, 1] == -1e308
 
     def test_non_planar_shape_rejected(self):
         with pytest.raises(InputError):
             build_similarity(np.zeros((4, 3)))
 
     def test_off_diagonal_values(self):
-        m = line_matrix()
-        assert sorted(m.off_diagonal()) == [-9.0, -9.0, -4.0, -4.0, -1.0, -1.0]
+        s = line_matrix()
+        assert sorted(off_diagonal(s)) == [-9.0, -9.0, -4.0, -4.0, -1.0, -1.0]
 
 
 class TestApplyPreference:
     def test_median_quantile(self):
-        m = line_matrix()
-        apply_preference(m, 0.5)
-        assert m.preferences().tolist() == [-4.0, -4.0, -4.0]
+        s = line_matrix()
+        apply_preference(s, 0.5)
+        assert preferences(s).tolist() == [-4.0, -4.0, -4.0]
 
     def test_max_quantile(self):
-        m = line_matrix()
-        apply_preference(m, 1.0)
-        assert m.preferences().tolist() == [-1.0, -1.0, -1.0]
+        s = line_matrix()
+        apply_preference(s, 1.0)
+        assert preferences(s).tolist() == [-1.0, -1.0, -1.0]
 
     def test_interpolated_quantile(self):
         # Two asymmetric entries {-8, -2}: the 0.75 quantile interpolates to -3.5.
         s = np.array([[np.nan, -8.0], [-2.0, np.nan]])
-        m = SimilarityMatrix(s=s)
-        apply_preference(m, 0.75)
-        assert m.preferences().tolist() == [-3.5, -3.5]
+        apply_preference(s, 0.75)
+        assert preferences(s).tolist() == [-3.5, -3.5]
 
     def test_explicit_preference(self):
-        m = line_matrix()
-        set_preference(m, -2.5)
-        assert m.preferences().tolist() == [-2.5, -2.5, -2.5]
+        s = line_matrix()
+        set_preference(s, -2.5)
+        assert preferences(s).tolist() == [-2.5, -2.5, -2.5]
 
     def test_off_diagonal_of_two_points_is_a_copy(self):
         # A 1 x 2 view counts as contiguous; the quantile must still not sort s in place.
         s = np.array([[np.nan, -8.0], [-2.0, np.nan]])
-        m = SimilarityMatrix(s=s)
-        apply_preference(m, 0.0)
-        assert m.s[0, 1] == -8.0 and m.s[1, 0] == -2.0
+        apply_preference(s, 0.0)
+        assert s[0, 1] == -8.0 and s[1, 0] == -2.0
 
     def test_non_finite_explicit_preference_refused(self):
         with pytest.raises(InputError, match="preference must be finite"):
@@ -124,8 +123,8 @@ class TestApplyPreference:
     @pytest.mark.parametrize(
         "use",
         [
-            lambda m: m.preferences(),
-            lambda m: run_apc_on_matrix(m, ApcConfig()),
+            preferences,
+            lambda s: run_apc_on_matrix(s, ApcConfig()),
             brute_force_exemplars,
         ],
         ids=["preferences", "run_apc_on_matrix", "brute_force_exemplars"],
@@ -153,10 +152,10 @@ class TestMessageUpdates:
         # With zero availabilities and no damping, r(i,k) = s(i,k) minus the
         # best competing similarity in row i. Hand-computed on the line
         # fixture at q=1 (preference -1).
-        m = line_matrix()
-        apply_preference(m, 1.0)
+        s = line_matrix()
+        apply_preference(s, 1.0)
         r, a, support, tmp = zero_messages(3)
-        update_responsibilities(m.s, r, a, 0.0, support, tmp)
+        update_responsibilities(s, r, a, 0.0, support, tmp)
         expected = np.array([[0.0, 0.0, -8.0], [0.0, 0.0, -3.0], [-8.0, -3.0, 3.0]])
         np.testing.assert_array_equal(r, expected)
         # Column support: r(k,k) plus the positive off-diagonal entries of column k.
@@ -165,10 +164,10 @@ class TestMessageUpdates:
     def test_availability_sweep_after_responsibilities(self):
         # Continuing the fixture above: no positive off-diagonal
         # responsibilities exist, so every availability is zero.
-        m = line_matrix()
-        apply_preference(m, 1.0)
+        s = line_matrix()
+        apply_preference(s, 1.0)
         r, a, support, tmp = zero_messages(3)
-        update_responsibilities(m.s, r, a, 0.0, support, tmp)
+        update_responsibilities(s, r, a, 0.0, support, tmp)
         update_availabilities(r, a, 0.0, support, tmp)
         np.testing.assert_array_equal(a, np.zeros((3, 3)))
 
@@ -202,13 +201,13 @@ class TestMessageUpdates:
         # After every iteration: a(i, k) <= 0 off the diagonal, a(k, k) >= 0
         # on it, and every message finite.
         n = len(xy)
-        m = build_similarity(xy)
-        apply_preference(m, q)
+        s = build_similarity(xy)
+        apply_preference(s, q)
         r, a = np.zeros((n, n)), np.zeros((n, n))
         support, tmp = np.zeros(n), np.empty((block + 1, n))
         off = ~np.eye(n, dtype=bool)
         for _ in range(50):
-            update_responsibilities(m.s, r, a, damping, support, tmp)
+            update_responsibilities(s, r, a, damping, support, tmp)
             update_availabilities(r, a, damping, support, tmp)
             assert np.all(a[off] <= 0.0), "off-diagonal availability above zero"
             assert np.all(a.diagonal() >= 0.0), "negative self-availability"
@@ -225,25 +224,25 @@ class TestDecisionsAndObjective:
         # Preference -d^2/2 makes two singletons strictly better than one
         # shared exemplar: -d^2 beats -3/2 d^2.
         xy = np.array([[0.0, 0.0], [10.0, 0.0]])
-        m = build_similarity(xy)
-        set_preference(m, -50.0)
-        res = run_apc_on_matrix(m, ApcConfig(q=0.5))
+        s = build_similarity(xy)
+        set_preference(s, -50.0)
+        res = run_apc_on_matrix(s, ApcConfig(q=0.5))
         assert res.exemplars == [0, 1]
         assert res.net_similarity == -100.0
 
     def test_net_similarity_definition(self):
-        m = line_matrix()
-        apply_preference(m, 0.5)
-        value = net_similarity(m, np.array([0]), np.array([0, 0, 0]))
+        s = line_matrix()
+        apply_preference(s, 0.5)
+        value = net_similarity(s, np.array([0]), np.array([0, 0, 0]))
         # preference of exemplar 0 plus s(1,0) and s(2,0)
         assert value == -4.0 + -1.0 + -9.0
 
     def test_refinement_recenters_cluster(self):
         # Force exemplar 0 through the decision criterion, then let refinement
         # move it to point 1, whose summed similarity over {0,1,2} is best.
-        m = line_matrix()
-        apply_preference(m, 0.5)
-        exemplars, assignment = decide_exemplars(m, np.array([1.0, -1.0, -1.0]))
+        s = line_matrix()
+        apply_preference(s, 0.5)
+        exemplars, assignment = decide_exemplars(s, np.array([1.0, -1.0, -1.0]))
         assert exemplars.tolist() == [1]
         assert assignment.tolist() == [1, 1, 1]
 
@@ -283,43 +282,60 @@ class TestConfig:
         assert a.assignment.tolist() == b.assignment.tolist()
 
     def test_jitter_leaves_input_matrix_clean(self):
-        m = line_matrix()
-        apply_preference(m, 0.5)
-        assert_run_restores_matrix(m)
+        s = line_matrix()
+        apply_preference(s, 0.5)
+        assert_run_restores_matrix(s, LINE_XY)
 
     def test_jitter_restores_negative_zero_preference(self):
         # Duplicate points give -0.0 off the diagonal; the added zero noise
         # would leave +0.0 on a -0.0 diagonal.
-        m = build_similarity(np.repeat(LINE_XY, 2, axis=0))
-        set_preference(m, -0.0)
-        assert_run_restores_matrix(m)
-        assert np.signbit(m.s.diagonal()).all()
+        xy = np.repeat(LINE_XY, 2, axis=0)
+        s = build_similarity(xy)
+        set_preference(s, -0.0)
+        assert_run_restores_matrix(s, xy)
+        assert np.signbit(s.diagonal()).all()
 
     def test_jitter_restores_matrix_when_kernel_raises(self, monkeypatch):
         def fail(*args):
             raise RuntimeError("kernel failed")
 
         monkeypatch.setattr(core, "update_availabilities", fail)
-        m = line_matrix()
-        apply_preference(m, 0.5)
+        s = line_matrix()
+        apply_preference(s, 0.5)
         with pytest.raises(RuntimeError, match="kernel failed"):
-            assert_run_restores_matrix(m)
+            assert_run_restores_matrix(s, LINE_XY)
 
     def test_hand_built_matrix_cannot_be_jittered(self):
-        m = SimilarityMatrix(s=line_matrix().s)
-        apply_preference(m, 0.5)
+        s = line_matrix()
+        apply_preference(s, 0.5)
         with pytest.raises(ValueError, match="jitter needs the points"):
-            assert_run_restores_matrix(m)
+            assert_run_restores_matrix(s, None)
+
+    @pytest.mark.parametrize("xy", [LINE_XY[:2], LINE_XY.tolist()], ids=["too_few_rows", "a_list"])
+    def test_jitter_refuses_points_not_an_array_for_this_matrix(self, xy):
+        s = line_matrix()
+        apply_preference(s, 0.5)
+        with pytest.raises(ValueError, match="jitter needs the points"):
+            assert_run_restores_matrix(s, xy)
+
+    def test_run_converts_points_once(self):
+        # A one-shot iterator can be read once: a second conversion for the
+        # jitter rebuild would see no points.
+        xy = np.random.default_rng(8).uniform(0, 100, size=(15, 2))
+        cfg = ApcConfig(q=0.5, jitter_scale=1e-6, rng_seed=3)
+        a = run_apc(iter([(x, y) for x, y in xy.tolist()]), cfg)
+        b = run_apc(xy, cfg)
+        assert a.exemplars == b.exemplars
+        assert a.net_similarity.hex() == b.net_similarity.hex()
 
 
-def assert_run_restores_matrix(m: SimilarityMatrix) -> None:
-    """A jittered run leaves m.s the same array, bit for bit, whether or not it raises."""
-    s, before = m.s, m.s.copy()
+def assert_run_restores_matrix(s: np.ndarray, xy) -> None:
+    """A jittered run leaves s bit for bit as it was, whether or not it raises."""
+    before = s.copy()
     try:
-        run_apc_on_matrix(m, ApcConfig(q=0.5, jitter_scale=1.0, rng_seed=1))
+        run_apc_on_matrix(s, ApcConfig(q=0.5, jitter_scale=1.0, rng_seed=1), xy)
     finally:
-        assert m.s is s
-        assert np.array_equal(m.s.view(np.uint64), before.view(np.uint64))
+        assert np.array_equal(s.view(np.uint64), before.view(np.uint64))
 
 
 @st.composite
@@ -368,16 +384,16 @@ def assert_bitwise_equal(x: np.ndarray, y: np.ndarray) -> None:
 def assert_kernel_matches_reference(xy, q, damping, jitter, block, iterations, seed=3):
     """After every iteration the blocked kernel's R and A equal the full-matrix reference exactly."""
     n = len(xy)
-    m = build_similarity(xy)
-    apply_preference(m, q)
+    clean = build_similarity(xy)
+    apply_preference(clean, q)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_SCRATCH_BYTES", 8 * n * block)
         r, a, support, tmp = zero_messages(n)
-        s = m.s.copy()
+        s = clean.copy()
         if jitter:
             core._jitter(s, jitter, seed)
     assert tmp.shape == (block + 1, n)
-    s_ref = reference_jittered(m.s, jitter, seed) if jitter else m.s
+    s_ref = reference_jittered(clean, jitter, seed) if jitter else clean
     assert_bitwise_equal(s, s_ref)
     r_ref, a_ref = np.zeros((n, n)), np.zeros((n, n))
     for _ in range(iterations):
@@ -424,14 +440,14 @@ class TestKernelMatchesReference:
 
     def test_iteration_allocates_no_matrix(self):
         n = 400
-        m = build_similarity(np.random.default_rng(0).uniform(0, 100, size=(n, 2)))
-        apply_preference(m, 0.5)
+        s = build_similarity(np.random.default_rng(0).uniform(0, 100, size=(n, 2)))
+        apply_preference(s, 0.5)
         r, a, support, tmp = zero_messages(n)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             for _ in range(3):
-                update_responsibilities(m.s, r, a, 0.9, support, tmp)
+                update_responsibilities(s, r, a, 0.9, support, tmp)
                 update_availabilities(r, a, 0.9, support, tmp)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -443,10 +459,10 @@ class TestPreferenceMatchesFullQuantile:
     @settings(max_examples=100, deadline=None)
     @given(grid_points(max_n=20), st.floats(min_value=0.0, max_value=1.0))
     def test_same_bits_as_masked_quantile(self, xy, q):
-        m = build_similarity(xy)
-        off = ~np.eye(m.n, dtype=bool)
-        before = m.s[off]
+        s = build_similarity(xy)
+        off = ~np.eye(len(s), dtype=bool)
+        before = s[off]
         expected = np.quantile(before, q)
-        apply_preference(m, q)
-        assert_bitwise_equal(m.preferences(), np.full(m.n, expected))
-        assert_bitwise_equal(m.s[off], before)
+        apply_preference(s, q)
+        assert_bitwise_equal(preferences(s), np.full(len(s), expected))
+        assert_bitwise_equal(s[off], before)
