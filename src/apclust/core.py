@@ -135,11 +135,13 @@ def _fill_similarity(xy: np.ndarray, s: np.ndarray, diagonal) -> None:
     np.fill_diagonal(s, diagonal)
 
 
-def off_diagonal(s: np.ndarray) -> np.ndarray:
-    """All entries s(i, k) with i != k, as a new flat array in row-major order."""
+def off_diagonal(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """All entries s(i, k) with i != k, flat in row-major order: a new array, or the head of out's flat view."""
     n = s.shape[0]
+    head = np.empty((n - 1) * n) if out is None else out.reshape(-1)[: (n - 1) * n]
     # Dropping s[0, 0] leaves each diagonal entry at the end of a row of n + 1.
-    return s.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].flatten()
+    np.copyto(head.reshape(n - 1, n), s.ravel()[1:].reshape(n - 1, n + 1)[:, :-1])
+    return head
 
 
 def preferences(s: np.ndarray) -> np.ndarray:
@@ -150,16 +152,17 @@ def preferences(s: np.ndarray) -> np.ndarray:
     return p
 
 
-def apply_preference(s: np.ndarray, q: float) -> np.ndarray:
+def apply_preference(s: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
     """Set every diagonal entry to the q-quantile of the off-diagonal similarities.
 
     Uses linear interpolation, so q=0 gives the minimum and q=1 the
     maximum. Only the off-diagonal is read, so a second call just sets the
-    diagonal again. Modifies s in place and returns it.
+    diagonal again; the quantile partitions a copy of it, made in the head of
+    out if given (R's buffer, in run_apc). Modifies s in place and returns it.
     """
     if not 0.0 <= q <= 1.0:
         raise InputError(f"q must be in [0, 1], got {q}")
-    p = float(np.quantile(off_diagonal(s), q, overwrite_input=True))
+    p = float(np.quantile(off_diagonal(s, out), q, overwrite_input=True))
     np.fill_diagonal(s, p)
     return s
 
@@ -183,18 +186,13 @@ def _block_rows(n: int) -> int:
     return max(1, _SCRATCH_BYTES // (8 * n))
 
 
-def message_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's buffers besides S, R and A: the column-support vector and a (block + 1) x n scratch."""
-    return np.zeros(n), np.empty((_block_rows(n) + 1, n))
-
-
 def estimate_apc_memory_gb(n: int) -> float:
     """Peak resident estimate for one run, in GB: the message-passing kernel's buffers at 64-bit.
 
     Those are S, R and A (jitter is added to S in place), the (block + 1) x n
     scratch and a few length-n vectors, plus a fixed allowance for
     interpreter and allocator overhead. Every other stage holds less: the
-    preference quantile holds S and one copy of its off-diagonal.
+    quantile and the jitter work in R's buffer, and refinement holds S and R.
     """
     floats = 3 * n * n + (_block_rows(n) + 1) * n + _RUN_VECTORS * n
     return (8.0 * floats + _RUN_OVERHEAD_BYTES) / 1e9
@@ -207,8 +205,8 @@ def update_responsibilities(
 
     The stored value is the damped blend damping * r_old + (1 - damping) * r_raw.
     Rows are updated in place, one block of tmp.shape[0] - 1 rows at a time.
-    tmp is the scratch message_workspace returns: it must be C-contiguous,
-    since entries of a block are written through its flat view.
+    tmp is the (block + 1) x n scratch _pass_messages allocates: it must be
+    C-contiguous, since entries of a block are written through its flat view.
 
     The sweep also leaves in support the column sums of max{0, r(i, k)} with
     r(k, k) kept as is on the diagonal, which update_availabilities needs.
@@ -317,7 +315,9 @@ def net_similarity(s: np.ndarray, exemplars: np.ndarray, assignment: np.ndarray)
     return value
 
 
-def run_apc_on_matrix(s: np.ndarray, config: ApcConfig, xy: np.ndarray | None = None) -> ClusterResult:
+def run_apc_on_matrix(
+    s: np.ndarray, config: ApcConfig, xy: np.ndarray | None = None, out: np.ndarray | None = None
+) -> ClusterResult:
     """Iterate message passing on a prepared similarity matrix until the exemplar decisions stabilize.
 
     Stops once the decision vector (which points satisfy a(k, k) + r(k, k) > 0)
@@ -327,17 +327,19 @@ def run_apc_on_matrix(s: np.ndarray, config: ApcConfig, xy: np.ndarray | None = 
     place, so a jittered run needs xy, the (n, 2) array s was built from;
     after the loop, even one that raises, s is rebuilt from xy and its
     diagonal put back, so exemplar refinement, net similarity and the caller
-    see the clean matrix, bit for bit, in the same array.
+    see the clean matrix, bit for bit, in the same array. out is R's buffer,
+    a C-contiguous n x n float64 scratch, allocated here when not given.
     """
     diagonal = preferences(s).copy()
+    r = np.empty(s.shape) if out is None else out
     if config.jitter_scale == 0:
-        criterion, converged, iterations = _pass_messages(s, config)
+        criterion, converged, iterations = _pass_messages(s, config, r)
     elif not isinstance(xy, np.ndarray) or xy.shape != (len(s), 2):
         raise ValueError("jitter needs the points S was built from; pass them as xy")
     else:
-        _jitter(s, config.jitter_scale, config.rng_seed)
+        _jitter(s, config.jitter_scale, config.rng_seed, r)
         try:
-            criterion, converged, iterations = _pass_messages(s, config)
+            criterion, converged, iterations = _pass_messages(s, config, r)
         finally:
             _fill_similarity(xy, s, diagonal)
     exemplars, assignment = decide_exemplars(s, criterion)
@@ -350,17 +352,18 @@ def run_apc_on_matrix(s: np.ndarray, config: ApcConfig, xy: np.ndarray | None = 
     )
 
 
-def _pass_messages(s: np.ndarray, config: ApcConfig) -> tuple[np.ndarray, bool, int]:
+def _pass_messages(s: np.ndarray, config: ApcConfig, r: np.ndarray) -> tuple[np.ndarray, bool, int]:
     """The iteration loop: returns a(k, k) + r(k, k), whether it converged, and the iteration count.
 
-    The kernel reads s as given (jitter, if any, is already in it) and holds
-    R and A, the column support and one scratch block besides; all are
-    released on return, before S is rebuilt and exemplar refinement runs.
+    The kernel reads s as given (jitter, if any, is already in it), zero-fills
+    r and allocates A, the column support and one scratch block, released on
+    return. R lives on with the caller, so refinement holds S and R, not 3n².
     """
     n = s.shape[0]
-    support, tmp = message_workspace(n)
-    r = np.zeros((n, n))
+    r.fill(0.0)
     a = np.zeros((n, n))
+    support = np.zeros(n)
+    tmp = np.empty((_block_rows(n) + 1, n))
     previous = None
     stable = 0
     converged = False
@@ -381,24 +384,19 @@ def _pass_messages(s: np.ndarray, config: ApcConfig) -> tuple[np.ndarray, bool, 
     return a.diagonal() + r.diagonal(), converged, iteration
 
 
-def _jitter(s: np.ndarray, scale: float, seed: int) -> None:
+def _jitter(s: np.ndarray, scale: float, seed: int, out: np.ndarray) -> None:
     """Add seeded normal noise to s in place, zero on the diagonal; the caller rebuilds s after use.
 
-    The noise is drawn one row block at a time, in row order, from one
-    Generator: value for value the stream of a single n x n
+    The noise is drawn into out, a C-contiguous n x n float64 scratch, with
+    one ``standard_normal`` call: value for value a single n x n
     ``normal(0, scale)`` draw, which computes 0 + scale * z. The added zero
     turns a -0.0 diagonal into +0.0.
     """
-    n = s.shape[0]
-    rng = np.random.default_rng(seed)
-    block = _block_rows(n)
-    buf = np.empty((block, n))
-    for start in range(0, n, block):
-        noise = rng.standard_normal(out=buf[: n - start])
-        noise *= scale
-        noise += 0.0
-        np.fill_diagonal(noise[:, start:], 0.0)
-        s[start : start + block] += noise
+    noise = np.random.default_rng(seed).standard_normal(out=out)
+    noise *= scale
+    noise += 0.0
+    np.fill_diagonal(noise, 0.0)
+    s += noise
 
 
 def run_apc(points, config: ApcConfig) -> ClusterResult:
@@ -407,5 +405,6 @@ def run_apc(points, config: ApcConfig) -> ClusterResult:
     Deterministic given the point order, the config, and its seed.
     """
     xy = planar_to_array(points)
-    s = apply_preference(build_similarity(xy), config.q)
-    return run_apc_on_matrix(s, config, xy)
+    s = build_similarity(xy)
+    r = np.empty_like(s)  # R's buffer, also the scratch of the preference quantile and the jitter draw
+    return run_apc_on_matrix(apply_preference(s, config.q, out=r), config, xy, out=r)

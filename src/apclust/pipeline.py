@@ -215,7 +215,8 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     run largest sample first, in q order within a size: a worker that ran
     smaller cells first would keep their freed matrices in its allocator
     arena while the largest runs hold theirs. So a sweep grows by about
-    workers x estimate_apc_memory_gb(largest n), what the cap counts.
+    workers x estimate_apc_memory_gb(largest n), what the cap counts, plus
+    1 MB once (numpy's first quantile imports numpy.ma), 0.2-0.4 MB per extra worker.
     A failed clustering run aborts the sweep naming the offending cell: a
     MemoryError becomes a ResourceLimitError, and any other exception is
     logged with its cell and re-raised unchanged. Every ring is converted to
@@ -245,10 +246,10 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     est_gb = estimate_apc_memory_gb(max(sizes))
     if est_gb > manifest.mem_cap_gb:
         raise ResourceLimitError(
-            f"estimated {est_gb:.1f} GB for the largest run exceeds the {manifest.mem_cap_gb:.1f} GB cap"
+            f"estimated {est_gb:.3g} GB for the largest run exceeds the {manifest.mem_cap_gb:.3g} GB cap"
         )
     if est_gb > manifest.mem_cap_gb / 4:
-        log.warning("largest run estimated at %.1f GB resident", est_gb)
+        log.warning("largest run estimated at %.3g GB resident", est_gb)
 
     inter_xy = np.empty((0, 2))
     if manifest.input_intersections is not None:

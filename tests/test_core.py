@@ -15,7 +15,6 @@ from apclust.core import (
     apply_preference,
     build_similarity,
     decide_exemplars,
-    message_workspace,
     net_similarity,
     off_diagonal,
     preferences,
@@ -108,6 +107,18 @@ class TestApplyPreference:
         apply_preference(s, 0.0)
         assert s[0, 1] == -8.0 and s[1, 0] == -2.0
 
+    def test_quantile_in_a_lent_buffer(self):
+        # The same preference as from a fresh copy; only the buffer's head
+        # is written, and it holds the off-diagonal in some order.
+        xy = np.random.default_rng(4).uniform(0, 50, size=(9, 2))
+        s, lent = build_similarity(xy), build_similarity(xy)
+        out = np.full((9, 9), 7.0)
+        apply_preference(s, 0.3)
+        apply_preference(lent, 0.3, out=out)
+        assert_bitwise_equal(lent, s)
+        assert sorted(out.ravel()[:72]) == sorted(off_diagonal(s))
+        assert (out.ravel()[72:] == 7.0).all()
+
     def test_non_finite_explicit_preference_refused(self):
         with pytest.raises(InputError, match="preference must be finite"):
             set_preference(line_matrix(), np.nan)
@@ -135,8 +146,8 @@ class TestApplyPreference:
 
 
 def zero_messages(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Zero R and A plus a fresh kernel workspace (support, scratch)."""
-    return (np.zeros((n, n)), np.zeros((n, n))) + message_workspace(n)
+    """Zero R and A plus the kernel's column support and (block + 1) x n scratch."""
+    return np.zeros((n, n)), np.zeros((n, n)), np.zeros(n), np.empty((core._block_rows(n) + 1, n))
 
 
 @st.composite
@@ -318,6 +329,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="jitter needs the points"):
             assert_run_restores_matrix(s, xy)
 
+    @pytest.mark.parametrize("jitter", [0.0, 1e-6])
+    def test_lent_buffer_changes_no_result(self, jitter):
+        xy = np.random.default_rng(6).uniform(0, 100, size=(20, 2))
+        cfg = ApcConfig(q=0.5, jitter_scale=jitter, rng_seed=2)
+        own, lent = (
+            run_apc_on_matrix(apply_preference(build_similarity(xy), 0.5), cfg, xy, out=out)
+            for out in (None, np.full((20, 20), np.nan))
+        )
+        assert own.exemplars == lent.exemplars
+        assert own.assignment.tolist() == lent.assignment.tolist()
+        assert (own.iterations_run, own.converged) == (lent.iterations_run, lent.converged)
+        assert own.net_similarity.hex() == lent.net_similarity.hex()
+
     def test_run_converts_points_once(self):
         # A one-shot iterator can be read once: a second conversion for the
         # jitter rebuild would see no points.
@@ -391,7 +415,7 @@ def assert_kernel_matches_reference(xy, q, damping, jitter, block, iterations, s
         r, a, support, tmp = zero_messages(n)
         s = clean.copy()
         if jitter:
-            core._jitter(s, jitter, seed)
+            core._jitter(s, jitter, seed, np.empty_like(s))
     assert tmp.shape == (block + 1, n)
     s_ref = reference_jittered(clean, jitter, seed) if jitter else clean
     assert_bitwise_equal(s, s_ref)
@@ -453,6 +477,37 @@ class TestKernelMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak - base < n * n * 8 // 10
+
+
+def test_preference_and_jitter_allocate_no_matrix(monkeypatch):
+    # Both work in R's buffer, which run_apc allocates before either runs.
+    n = 300
+    xy = np.random.default_rng(0).uniform(0, 100, size=(n, 2))
+    config = ApcConfig(q=0.5, max_iterations=3, convergence_window=2, jitter_scale=1e-6)
+    run_apc(xy, config)  # numpy's first quantile in a process allocates a fixed 1.19 MB
+    peaks = {}
+
+    def traced(fn):
+        def wrapper(*args, **kwargs):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peaks[fn.__name__] = tracemalloc.get_traced_memory()[1] - base
+
+        return wrapper
+
+    for name in ("apply_preference", "_jitter"):
+        monkeypatch.setattr(core, name, traced(getattr(core, name)))
+    tracemalloc.start()
+    try:
+        run_apc(xy, config)
+    finally:
+        tracemalloc.stop()
+    assert set(peaks) == {"apply_preference", "_jitter"}
+    for name, peak in peaks.items():
+        assert peak < 0.05 * 8 * n * n, (name, peak / (8 * n * n))
 
 
 class TestPreferenceMatchesFullQuantile:

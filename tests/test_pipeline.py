@@ -430,6 +430,17 @@ class TestRunSweep:
         with pytest.raises(ResourceLimitError):
             run_sweep(manifest)
 
+    def test_memory_cap_messages_show_small_sizes(self, crash_csv, tmp_path, caplog):
+        # Both figures keep three significant digits: a run of 60 points is
+        # well under 0.05 GB, which one decimal place would print as 0.0.
+        est = estimate_apc_memory_gb(60)
+        assert est < 0.05
+        refused = f"estimated {est:.3g} GB for the largest run exceeds the 0.000123 GB cap"
+        with pytest.raises(ResourceLimitError, match=re.escape(refused)):
+            run_sweep(small_manifest(crash_csv, tmp_path / "refused", mem_cap_gb=0.000123))
+        run_sweep(small_manifest(crash_csv, tmp_path / "warned", mem_cap_gb=2 * est))
+        assert f"largest run estimated at {est:.3g} GB resident" in caplog.messages
+
     def test_strict_convergence_failure(self, crash_csv, tmp_path):
         # At q=0.5 the deeply negative preference keeps every decision
         # diagonal below zero for far more than five damped iterations.
