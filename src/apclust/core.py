@@ -155,14 +155,30 @@ def preferences(s: np.ndarray) -> np.ndarray:
 def apply_preference(s: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
     """Set every diagonal entry to the q-quantile of the off-diagonal similarities.
 
-    Uses linear interpolation, so q=0 gives the minimum and q=1 the
-    maximum. Only the off-diagonal is read, so a second call just sets the
-    diagonal again; the quantile partitions a copy of it, made in the head of
-    out if given (R's buffer, in run_apc). Modifies s in place and returns it.
+    numpy's linear method, written out: of the m values in order, the
+    quantile lies at position (m - 1) * q, between the values at its floor
+    lo and at hi = lo + 1 (both the last at q=1), so q=0 gives the minimum
+    and q=1 the maximum. The result is bit-equal to np.quantile at float(q),
+    whose first call in a process would import numpy.ma. Only the
+    off-diagonal is read, so a second call just sets the diagonal again; the
+    quantile partitions a copy of it, made in the head of out if given (R's
+    buffer, in run_apc). Modifies s in place and returns it.
     """
     if not 0.0 <= q <= 1.0:
         raise InputError(f"q must be in [0, 1], got {q}")
-    p = float(np.quantile(off_diagonal(s, out), q, overwrite_input=True))
+    values = off_diagonal(s, out)
+    m = values.size
+    position = (m - 1) * q
+    lo = math.floor(position)
+    hi = min(lo + 1, m - 1)
+    # numpy's kth set: it decides which of two equal values, -0.0 and 0.0, lands at lo and hi.
+    values.partition(sorted({0, lo, hi, m - 1}))
+    a, b = float(values[lo]), float(values[hi])
+    t = position - lo
+    # As numpy's _lerp: from the nearer end, so t=0 gives a exactly, save that -0.0 becomes 0.0.
+    p = a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+    if math.isnan(values[-1]):  # a NaN sorts last, and np.quantile returns it
+        p = math.nan
     np.fill_diagonal(s, p)
     return s
 

@@ -156,21 +156,22 @@ def ingest_crashes(path) -> IngestResult:
         raise InputError(f"{path}: no valid coordinate rows")
     if polar is not None:
         raise InputError(f"{path}: line {polar[0]}: latitude {polar[1]} beyond supported range")
-    return IngestResult(lonlat=rows[keep], n_rows=n_rows)
+    # rows views the parsed floats; copy them only to drop a row.
+    return IngestResult(lonlat=rows if keep.all() else rows[keep], n_rows=n_rows)
 
 
 def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoint]:
     """Ingest a points file and project it to planar meters around origin.
 
-    The origin defaults to the file's own centroid. Only the planar array
-    is kept: the lon/lat array is freed on return rather than held through
-    the clustering runs. ingest_crashes refuses a row beyond the supported
-    latitude band; a file whose rows all lie within it is projected.
+    The origin defaults to the file's own centroid. The rows are projected
+    in place, so the file is held as one (n, 2) array. ingest_crashes
+    refuses a row beyond the supported latitude band; a file whose rows all
+    lie within it is projected.
     """
-    rows = ingest_crashes(path)
+    lonlat = ingest_crashes(path).lonlat
     if origin is None:
-        origin = centroid(rows.lonlat)
-    return project(rows.lonlat, origin), origin
+        origin = centroid(lonlat)
+    return project(lonlat, origin, out=lonlat), origin
 
 
 def _sample_indices(n: int, k: int, seed) -> np.ndarray:
@@ -216,7 +217,7 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     smaller cells first would keep their freed matrices in its allocator
     arena while the largest runs hold theirs. So a sweep grows by about
     workers x estimate_apc_memory_gb(largest n), what the cap counts, plus
-    1 MB once (numpy's first quantile imports numpy.ma), 0.2-0.4 MB per extra worker.
+    at most about 0.5 MB, or most of one more matrix where the heap fragments.
     A failed clustering run aborts the sweep naming the offending cell: a
     MemoryError becomes a ResourceLimitError, and any other exception is
     logged with its cell and re-raised unchanged. Every ring is converted to

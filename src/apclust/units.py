@@ -155,8 +155,17 @@ def derive_meso_threshold(intersections, cell_km: float = 1.0) -> int:
     ix = np.floor((xy[:, 0] - xmin) / cell_m).astype(np.int64)
     iy = np.floor((xy[:, 1] - ymin) / cell_m).astype(np.int64)
     _, counts = np.unique(ix * (iy.max() + 2) + iy, return_counts=True)
-    median = float(np.median(counts))
-    return int(math.floor(median + 0.5))
+    return int(math.floor(_median(counts.tolist()) + 0.5))
+
+
+def _median(values) -> float:
+    """The middle value, or the mean of the two middle values: np.median's bits, without its numpy.ma import.
+
+    The sum starts from 0.0, as np.median's mean does, so a middle -0.0 gives 0.0.
+    """
+    v = sorted(values)
+    half = len(v) // 2
+    return 0.0 + v[half] if len(v) % 2 else (0.0 + v[half - 1] + v[half]) / 2
 
 
 def build_units(
@@ -170,10 +179,11 @@ def build_units(
 ) -> tuple[list[UnitOfAnalysis], SweepCell]:
     """One UnitOfAnalysis per exemplar plus the run-level summary cell.
 
-    Medians use linear interpolation; the run-level scale applies
-    classify_level to the median intersection count over clusters. q and
-    the point count are carried into the SweepCell for reporting, with the
-    run's convergence flag and iteration count.
+    A median over an even number of clusters is the mean of the two middle
+    values. The run-level scale applies classify_level to the median
+    intersection count over clusters. q and the point count are carried
+    into the SweepCell for reporting, with the run's convergence flag and
+    iteration count.
     """
     xy = planar_to_array(planar_points)
     if xy.shape[0] != result.assignment.shape[0]:
@@ -197,8 +207,8 @@ def build_units(
         )
         for cid, (poly, n_pts, n_int) in enumerate(zip(polygons, member_counts, inter_counts))
     ]
-    median_area = float(np.median([u.polygon.area_km2 for u in units]))
-    median_inter = float(np.median([u.n_intersections for u in units]))
+    median_area = _median([u.polygon.area_km2 for u in units])
+    median_inter = _median([u.n_intersections for u in units])
     cell = SweepCell(
         q=q,
         sample_size=int(xy.shape[0]),

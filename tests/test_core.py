@@ -484,7 +484,7 @@ def test_preference_and_jitter_allocate_no_matrix(monkeypatch):
     n = 300
     xy = np.random.default_rng(0).uniform(0, 100, size=(n, 2))
     config = ApcConfig(q=0.5, max_iterations=3, convergence_window=2, jitter_scale=1e-6)
-    run_apc(xy, config)  # numpy's first quantile in a process allocates a fixed 1.19 MB
+    run_apc(xy, config)  # load every code path first
     peaks = {}
 
     def traced(fn):
@@ -510,14 +510,59 @@ def test_preference_and_jitter_allocate_no_matrix(monkeypatch):
         assert peak < 0.05 * 8 * n * n, (name, peak / (8 * n * n))
 
 
+def assert_preference_is_numpy_quantile(xy, q):
+    """apply_preference gives np.quantile's bits over the off-diagonal, which it leaves as it was."""
+    s = build_similarity(xy)
+    off = ~np.eye(len(s), dtype=bool)
+    before = s[off]
+    expected = np.quantile(before, q)
+    apply_preference(s, q)
+    assert_bitwise_equal(preferences(s), np.full(len(s), expected))
+    assert_bitwise_equal(s[off], before)
+
+
+# Three points twice each: 30 similarities, 6 of them -0.0 from the duplicates and the rest three tied values.
+DUPLICATED_XY = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]), 2, axis=0)
+# Seven scattered points: 42 distinct similarities.
+SCATTERED_XY = np.random.default_rng(8).uniform(0, 50, size=(7, 2))
+
+
 class TestPreferenceMatchesFullQuantile:
     @settings(max_examples=100, deadline=None)
-    @given(grid_points(max_n=20), st.floats(min_value=0.0, max_value=1.0))
+    @given(grid_points(max_n=60), st.floats(min_value=0.0, max_value=1.0))
     def test_same_bits_as_masked_quantile(self, xy, q):
-        s = build_similarity(xy)
-        off = ~np.eye(len(s), dtype=bool)
-        before = s[off]
-        expected = np.quantile(before, q)
-        apply_preference(s, q)
-        assert_bitwise_equal(preferences(s), np.full(len(s), expected))
-        assert_bitwise_equal(s[off], before)
+        assert_preference_is_numpy_quantile(xy, q)
+
+    @pytest.mark.parametrize("xy", [DUPLICATED_XY, SCATTERED_XY], ids=["duplicated", "scattered"])
+    def test_minimum(self, xy):
+        assert_preference_is_numpy_quantile(xy, 0.0)
+
+    def test_maximum_of_duplicates_is_minus_zero(self):
+        # np.quantile interpolates even at q=1, and -0.0 + 0.0 is 0.0.
+        s = build_similarity(DUPLICATED_XY)
+        assert np.signbit(off_diagonal(s).max())
+        apply_preference(s, 1.0)
+        assert not np.signbit(preferences(s)).any()
+        assert_preference_is_numpy_quantile(DUPLICATED_XY, 1.0)
+
+    @pytest.mark.parametrize("xy", [DUPLICATED_XY, SCATTERED_XY], ids=["duplicated", "scattered"])
+    def test_integer_positions(self, xy):
+        last = len(xy) * (len(xy) - 1) - 1
+        qs = [j / last for j in range(last + 1) if (last * (j / last)).is_integer()]
+        assert len(qs) > last // 2
+        for q in qs:
+            assert_preference_is_numpy_quantile(xy, q)
+
+    @pytest.mark.parametrize("xy", [DUPLICATED_XY, SCATTERED_XY], ids=["duplicated", "scattered"])
+    def test_half_way_positions(self, xy):
+        # t = 0.5 interpolates from the upper value, as numpy's _lerp does.
+        last = len(xy) * (len(xy) - 1) - 1
+        qs = [(j + 0.5) / last for j in range(last) if last * ((j + 0.5) / last) - j == 0.5]
+        assert len(qs) > last // 2
+        for q in qs:
+            assert_preference_is_numpy_quantile(xy, q)
+
+    def test_nan_off_diagonal_gives_nan_whatever_q(self):
+        s = np.array([[np.nan, -1.0, np.nan], [-2.0, np.nan, -3.0], [-4.0, -5.0, np.nan]])
+        apply_preference(s, 0.2)
+        assert np.isnan(s.diagonal()).all() and np.isnan(np.quantile(off_diagonal(s), 0.2))

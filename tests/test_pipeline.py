@@ -240,6 +240,23 @@ class TestIngest:
         assert result.n_rows == n and result.n_rows - result.lonlat.shape[0] == 0
         assert peak / n < 64, f"{peak / n:.1f} bytes per row"
 
+    def test_projection_holds_one_array_per_file(self, tmp_path):
+        # The parsed floats are projected where they lie: no lon/lat copy,
+        # no planar copy and no temporary column beside them.
+        n = 50_000
+        rng = np.random.default_rng(0)
+        lat, lon = rng.uniform(-30.1, -29.9, n).tolist(), rng.uniform(-51.3, -51.1, n).tolist()
+        path = tmp_path / "big.csv"
+        path.write_text("lat,lon\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(lat, lon)))
+        tracemalloc.start()
+        try:
+            xy, origin = pipeline._ingest_xy(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert xy.tobytes() == project(np.column_stack([lon, lat]), origin).tobytes()
+        assert peak / n < 32, f"{peak / n:.1f} bytes per row"
+
     def test_origin_is_left_to_right_mean_across_reruns(self, tmp_path):
         # Criterion 7's corpus: the frame origin, and so every output byte, must
         # not depend on how the Python in use sums floats.
@@ -323,6 +340,38 @@ def test_memory_estimate_bounds_measured_peak(n, jitter):
     stats = json.loads(proc.stdout)
     assert stats["hwm_rose"]
     assert 0.75 * stats["estimate"] <= stats["growth"] <= stats["estimate"], stats
+
+
+# Runs CLI commands in a fresh interpreter and fails if any imported numpy.ma,
+# which np.quantile and np.median do on their first call: about 1.7 MB
+# resident and 12 ms. The test process itself may hold numpy.ma already.
+NO_MASKED_ARRAYS_CHILD = """
+import json, sys
+from apclust.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    assert "numpy.ma" not in sys.modules, f"{argv[0]} imported numpy.ma"
+"""
+
+
+def test_commands_import_no_masked_arrays(crash_csv, intersections_csv, tmp_path):
+    inputs = ["--input", str(crash_csv), "--intersections", str(intersections_csv)]
+    commands = [
+        ["cluster", *inputs, "--q", "0.5", "--sample", "40"],
+        ["sweep", *inputs, "--q", "0.5,0.9", "--samples", "30", "--out", str(tmp_path / "out"),
+         "--jitter-scale", "1e-6", "--thresholds", "derive"],
+        ["derive-threshold", "--intersections", str(intersections_csv)],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(apclust.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS_CHILD, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def small_manifest(crash_csv, out_dir, **overrides) -> RunManifest:

@@ -271,6 +271,25 @@ class TestDeriveThreshold:
         assert derive_meso_threshold(pts, cell_km=1e-6) == 1
 
 
+# Few distinct values, so that ties, and -0.0 beside 0.0, are common.
+MEDIAN_INTS = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
+MEDIAN_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 1.5, -2.25]), st.floats(-1e300, 1e300))
+
+
+class TestMedian:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(MEDIAN_INTS, min_size=1, max_size=41),
+            st.lists(MEDIAN_FLOATS, min_size=1, max_size=41),
+        )
+    )
+    def test_same_bits_as_numpy(self, values):
+        got = units._median(values)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.median(values).tobytes(), (got, np.median(values))
+
+
 def two_blob_points() -> np.ndarray:
     rng = np.random.default_rng(8)
     a = rng.normal((0.0, 0.0), 20.0, size=(12, 2))
