@@ -159,11 +159,13 @@ def apply_preference(s: np.ndarray, q: float, out: np.ndarray | None = None) -> 
     quantile lies at position (m - 1) * q, between the values at its floor
     lo and at hi = lo + 1 (both the last at q=1), so q=0 gives the minimum
     and q=1 the maximum. The result is bit-equal to np.quantile at float(q),
-    whose first call in a process would import numpy.ma. Only the
+    whose first call in a process would import numpy.ma; an int q is taken
+    as float(q), so q=1 over a -0.0 maximum gives 0.0. Only the
     off-diagonal is read, so a second call just sets the diagonal again; the
     quantile partitions a copy of it, made in the head of out if given (R's
     buffer, in run_apc). Modifies s in place and returns it.
     """
+    q = float(q)
     if not 0.0 <= q <= 1.0:
         raise InputError(f"q must be in [0, 1], got {q}")
     values = off_diagonal(s, out)

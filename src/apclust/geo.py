@@ -104,12 +104,10 @@ def centroid(lonlat) -> GeoPoint:
     return GeoPoint(lon=mean_lon, lat=min(max(mean_lat, -MAX_SUPPORTED_LAT_DEG), MAX_SUPPORTED_LAT_DEG))
 
 
-def project(lonlat, origin: GeoPoint, out: np.ndarray | None = None) -> np.ndarray:
+def project(lonlat, origin: GeoPoint) -> np.ndarray:
     """Project (n, 2) (lon, lat) rows to an (n, 2) array of local planar meters around origin.
 
-    x = R * dlon_rad * cos(lat_origin), y = R * dlat_rad, each step in place
-    in the result, so no temporary column is made. The result is written to
-    out if given, an (n, 2) float64 buffer that may be lonlat itself.
+    x = R * dlon_rad * cos(lat_origin), y = R * dlat_rad.
     """
     _check_lat(origin.lat)
     lon, lat = np.asarray(lonlat, dtype=np.float64).T
@@ -118,13 +116,9 @@ def project(lonlat, origin: GeoPoint, out: np.ndarray | None = None) -> np.ndarr
         i = int(polar[0])
         raise InputError(f"point {i}: latitude {float(lat[i])} beyond supported range")
     cos0 = math.cos(math.radians(origin.lat))
-    xy = np.empty((lon.size, 2), dtype=np.float64) if out is None else out
-    x, y = xy.T
-    np.subtract(lon, origin.lon, out=x)
-    np.subtract(lat, origin.lat, out=y)
-    np.radians(xy, out=xy)
-    xy *= EARTH_RADIUS_M
-    x *= cos0
+    xy = np.empty((lon.size, 2), dtype=np.float64)
+    xy[:, 0] = EARTH_RADIUS_M * np.radians(lon - origin.lon) * cos0
+    xy[:, 1] = EARTH_RADIUS_M * np.radians(lat - origin.lat)
     return xy
 
 

@@ -156,22 +156,21 @@ def ingest_crashes(path) -> IngestResult:
         raise InputError(f"{path}: no valid coordinate rows")
     if polar is not None:
         raise InputError(f"{path}: line {polar[0]}: latitude {polar[1]} beyond supported range")
-    # rows views the parsed floats; copy them only to drop a row.
-    return IngestResult(lonlat=rows if keep.all() else rows[keep], n_rows=n_rows)
+    return IngestResult(lonlat=rows[keep], n_rows=n_rows)
 
 
 def _ingest_xy(path, origin: GeoPoint | None = None) -> tuple[np.ndarray, GeoPoint]:
     """Ingest a points file and project it to planar meters around origin.
 
-    The origin defaults to the file's own centroid. The rows are projected
-    in place, so the file is held as one (n, 2) array. ingest_crashes
-    refuses a row beyond the supported latitude band; a file whose rows all
-    lie within it is projected.
+    The origin defaults to the file's own centroid. Only the planar array
+    is kept: the lon/lat array is freed on return rather than held through
+    the clustering runs. ingest_crashes refuses a row beyond the supported
+    latitude band; a file whose rows all lie within it is projected.
     """
-    lonlat = ingest_crashes(path).lonlat
+    rows = ingest_crashes(path)
     if origin is None:
-        origin = centroid(lonlat)
-    return project(lonlat, origin, out=lonlat), origin
+        origin = centroid(rows.lonlat)
+    return project(rows.lonlat, origin), origin
 
 
 def _sample_indices(n: int, k: int, seed) -> np.ndarray:

@@ -545,6 +545,16 @@ class TestPreferenceMatchesFullQuantile:
         assert not np.signbit(preferences(s)).any()
         assert_preference_is_numpy_quantile(DUPLICATED_XY, 1.0)
 
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_integer_q_is_float_q(self, q):
+        # np.quantile at an int q returns the order statistic itself, -0.0 at q=1 here;
+        # apply_preference takes float(q) and interpolates, as np.quantile does at 1.0.
+        expected = build_similarity(DUPLICATED_XY)
+        apply_preference(expected, float(q))
+        s = build_similarity(DUPLICATED_XY)
+        apply_preference(s, q)
+        assert_bitwise_equal(s, expected)
+
     @pytest.mark.parametrize("xy", [DUPLICATED_XY, SCATTERED_XY], ids=["duplicated", "scattered"])
     def test_integer_positions(self, xy):
         last = len(xy) * (len(xy) - 1) - 1

@@ -179,9 +179,6 @@ class TestProjection:
         assert xy.dtype == np.float64 and xy.shape == (len(points), 2)
         assert np.array_equal(xy, expected)
         assert np.array_equal(np.signbit(xy), np.signbit(expected))
-        # Projected over its own rows, the same bits.
-        assert project(lonlat, origin, out=lonlat) is lonlat
-        assert lonlat.tobytes() == xy.tobytes()
 
 
 def square_ring(side: float) -> ClusterPolygon:

@@ -240,23 +240,6 @@ class TestIngest:
         assert result.n_rows == n and result.n_rows - result.lonlat.shape[0] == 0
         assert peak / n < 64, f"{peak / n:.1f} bytes per row"
 
-    def test_projection_holds_one_array_per_file(self, tmp_path):
-        # The parsed floats are projected where they lie: no lon/lat copy,
-        # no planar copy and no temporary column beside them.
-        n = 50_000
-        rng = np.random.default_rng(0)
-        lat, lon = rng.uniform(-30.1, -29.9, n).tolist(), rng.uniform(-51.3, -51.1, n).tolist()
-        path = tmp_path / "big.csv"
-        path.write_text("lat,lon\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(lat, lon)))
-        tracemalloc.start()
-        try:
-            xy, origin = pipeline._ingest_xy(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert xy.tobytes() == project(np.column_stack([lon, lat]), origin).tobytes()
-        assert peak / n < 32, f"{peak / n:.1f} bytes per row"
-
     def test_origin_is_left_to_right_mean_across_reruns(self, tmp_path):
         # Criterion 7's corpus: the frame origin, and so every output byte, must
         # not depend on how the Python in use sums floats.
