@@ -216,7 +216,7 @@ def run_sweep(manifest: RunManifest) -> list[SweepCell]:
     smaller cells first would keep their freed matrices in its allocator
     arena while the largest runs hold theirs. So a sweep grows by about
     workers x estimate_apc_memory_gb(largest n), what the cap counts, plus
-    at most about 0.5 MB, or most of one more matrix where the heap fragments.
+    up to about 0.1 MB on one thread and 0.8 MB on two (at 1200 points).
     A failed clustering run aborts the sweep naming the offending cell: a
     MemoryError becomes a ResourceLimitError, and any other exception is
     logged with its cell and re-raised unchanged. Every ring is converted to
